@@ -328,7 +328,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--epsilon", type=float, default=0.05)
             p.add_argument("--delta", type=float, default=0.01)
             p.add_argument(
-                "--shots", type=int, default=None, help="override the derived sample count"
+                "--shots",
+                type=int,
+                default=None,
+                help="total sample count (overrides the derived K)",
             )
 
     p = sub.add_parser("oracle", help="exact statevector expectation")

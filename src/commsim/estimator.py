@@ -35,13 +35,14 @@ class EstimatorConfig:
     delta: float = 0.01
     seed: int | None = None
     k_override: int | None = None
-    median_of_means: bool = False
 
     def __post_init__(self):
         if not 0 < self.epsilon <= 1:
             raise ValueError("epsilon must be in (0, 1]")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
+        if self.k_override is not None and self.k_override < 1:
+            raise ValueError("sample count must be at least 1")
 
     @property
     def k(self) -> int:
@@ -158,10 +159,13 @@ class DiagonalZExp(MonomialOperator):
     def adjoint(self) -> "DiagonalZExp":
         return DiagonalZExp(-self.theta, self.q)
 
+    def angle_many(self, ys: np.ndarray) -> np.ndarray:
+        """theta times the eigenvalue of Q on each basis state."""
+        s = -self.theta if self.q.t == 2 else self.theta
+        return s * (1 - 2 * _parity_many(ys, self.q.b))
+
     def eval_phase_many(self, ys: np.ndarray) -> np.ndarray:
-        s = -1 if self.q.t == 2 else 1
-        eig = s * (1 - 2 * _parity_many(ys, self.q.b))
-        return np.exp(1j * self.theta * eig)
+        return np.exp(1j * self.angle_many(ys))
 
     def permute_many(self, ys: np.ndarray) -> np.ndarray:
         return ys
@@ -199,12 +203,16 @@ class Composition(MonomialOperator):
         return Composition([m.adjoint() for m in reversed(self.ops)])
 
     def eval_phase_many(self, ys: np.ndarray) -> np.ndarray:
+        # diagonal factors add their angles; one exp covers all of them
         phase = np.ones(ys.shape, dtype=complex)
-        ys = ys.copy()
+        angle = np.zeros(ys.shape)
         for m in reversed(self.ops):
-            phase *= m.eval_phase_many(ys)
-            ys = m.permute_many(ys)
-        return phase
+            if isinstance(m, DiagonalZExp):
+                angle += m.angle_many(ys)
+            else:
+                phase *= m.eval_phase_many(ys)
+                ys = m.permute_many(ys)
+        return phase * np.exp(1j * angle)
 
     def permute_many(self, ys: np.ndarray) -> np.ndarray:
         for m in reversed(self.ops):
@@ -254,13 +262,7 @@ def estimate_monomial_sandwich(
     xs = _draw_samples(psi, m, phi, k, rng)
     absx = np.abs(xs)
     violation = float(np.max(np.minimum(np.abs(absx - 1.0), absx), initial=0.0))
-    if cfg.median_of_means:
-        n_blocks = max(1, min(k, 2 * math.ceil(math.log(2.0 / cfg.delta))))
-        blocks = np.array_split(xs, n_blocks)
-        means = np.array([b.mean() for b in blocks])
-        raw = complex(np.median(means.real) + 1j * np.median(means.imag))
-    else:
-        raw = complex(xs.mean())
+    raw = complex(xs.mean())
     value = raw if abs(raw) <= 1.0 else raw / abs(raw)  # clamp to the unit disk
     elapsed = (time.perf_counter() - t0) * 1e3
     return EstimateResult(

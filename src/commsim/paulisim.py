@@ -1,11 +1,20 @@
 """Weak simulation of Pauli-exponential circuits.
 
 A product of commuting Pauli exponentials factors as C D C^dag with a single
-Clifford C and a diagonal D, so a Z observable becomes a monomial sandwich
-between two Clifford-evolved basis states, estimated by sampling.  A few
-non-commuting extra gates are handled by expanding each extra into
-cos(theta) I + i sin(theta) Q and estimating every branch-pair term with a
-proportionally tightened budget.
+Clifford C and a diagonal D.  A few non-commuting extra gates e^{i theta Q}
+expand as cos(theta) I + i sin(theta) Q; moving each chosen Q to the input
+side flips the sign of the members it anticommutes with, so every branch a is
+a coefficient c_a times C D_a C^dag Sigma_a.  The observable then becomes a
+sum over branch pairs (a, b) of monomial sandwiches
+conj(c_a mu_a) c_b mu_b <psi_a| M_ab |psi_b> between Clifford-evolved basis
+states, where M_ab keeps only the diagonal factors that do not cancel.
+
+All pairs are estimated as one mean: a pair is drawn with probability
+|c_a c_b| / W^2, W = sum_a |c_a| = prod_j (|cos theta_j| + |sin theta_j|),
+and its sample is weighted by W^2 and the pair's unit phase.  Every sample is
+bounded by W^2, so K = ceil(4 W^4 ln(2/delta) / epsilon^2) samples meet the
+(epsilon, delta) contract.  Commuting circuits are the zero-extras case,
+with W = 1.
 """
 
 from __future__ import annotations
@@ -22,16 +31,15 @@ from .estimator import (
     DiagonalZExp,
     EstimateResult,
     EstimatorConfig,
-    Identity,
     MonomialOperator,
     PauliMonomial,
     estimate_monomial_sandwich,
 )
+from .oracle import parse_basis_label
 from .pauli import PauliOperator, commutes, multiply
 from .stabilizer import (
     CliffordCircuit,
     CliffordTableau,
-    StabilizerState,
     diagonalize_commuting_set,
     evolve,
 )
@@ -88,15 +96,12 @@ def compile_commuting_pauli(
 
 
 def _as_int_label(x, n: int) -> int:
+    """Basis label as an int with bit k = qubit k; strings list qubits in order."""
     if isinstance(x, int):
+        if not 0 <= x < 1 << n:
+            raise ValueError(f"basis index {x} out of range for {n} qubits")
         return x
-    digits = [int(ch) for ch in str(x).strip()]
-    if len(digits) != n:
-        raise ValueError(f"basis label needs {n} bits")
-    v = 0
-    for k, bit in enumerate(digits):
-        v |= (bit & 1) << k
-    return v
+    return sum(bit << k for k, bit in enumerate(parse_basis_label(x, n, 2)))
 
 
 def simulate_commuting_pauli(
@@ -107,28 +112,13 @@ def simulate_commuting_pauli(
     rng: np.random.Generator,
     n: int | None = None,
 ) -> EstimateResult:
-    """Estimate ``<Z_qubit>`` after the commuting circuit applied to ``|x>``."""
-    c, diag, obs_map = compile_commuting_pauli(gates, n)
-    n = c.n
-    xv = _as_int_label(x, n)
-    p = obs_map(PauliOperator(n, 0, 0, 1 << qubit))
-    m: MonomialOperator
-    if diag:
-        m = Composition(
-            [d.adjoint() for d in reversed(diag)] + [PauliMonomial(p)] + diag
-        )
-    else:
-        m = PauliMonomial(p)
-    psi = evolve(xv, c.inverse())
-    res = estimate_monomial_sandwich(psi, m, psi, cfg, rng)
-    return _realize(res)
+    """Estimate ``<Z_qubit>`` after the commuting circuit applied to ``|x>``.
 
-
-def _realize(res: EstimateResult) -> EstimateResult:
-    raw = complex(res.raw_value).real
-    res.raw_value = raw
-    res.value = min(1.0, max(-1.0, raw))
-    return res
+    The zero-extras case of :func:`simulate_noncommuting_pauli`; ``n`` is
+    needed only for an empty gate list.
+    """
+    program = [MemberGate(theta, p) for theta, p in gates]
+    return simulate_noncommuting_pauli(program, x, qubit, cfg, rng, n=n)
 
 
 def simulate_noncommuting_pauli(
@@ -142,13 +132,16 @@ def simulate_noncommuting_pauli(
 ) -> EstimateResult:
     """Estimate ``<Z_qubit>`` for members interleaved with a few extras.
 
-    Cost scales as 4^k in the number k of extras: every (bra, ket) branch
-    pair contributes a monomial-sandwich term, each estimated to the budget
-    epsilon / (sum_branches |coefficient|)^2 with failure delta / 4^k.
+    Branch pairs (a, b) are importance-sampled in proportion to |c_a c_b|:
+    one multinomial draw splits the K samples over the pairs, each pair's
+    share is drawn by the monomial-sandwich estimator, and the weighted
+    shares add up to one mean.  K = ceil(4 W^4 ln(2/delta) / epsilon^2) with
+    W = prod_j (|cos theta_j| + |sin theta_j|) over the k extras, or
+    ``cfg.k_override`` when set; ``EstimateResult.k`` reports that total.
     """
     t0 = time.perf_counter()
-    if not program:
-        raise ValueError("empty program")
+    if not program and n is None:
+        raise ValueError("need n for an empty program")
     members = [g for g in program if isinstance(g, MemberGate)]
     extras = [g for g in program if isinstance(g, ExtraGate)]
     n = program[0].pauli.n if n is None else n
@@ -171,8 +164,10 @@ def simulate_noncommuting_pauli(
     member_pos = [i for i, g in enumerate(program) if isinstance(g, MemberGate)]
     extra_pos = [i for i, g in enumerate(program) if isinstance(g, ExtraGate)]
     xv = _as_int_label(x, n)
+    c_inv = c.inverse()
+    psi_cache = {}
 
-    branches = []  # (coefficient, member signs s[j], Pauli Sigma)
+    branches = []  # (|c_a|, unit phase of c_a mu_a, member signs s[j], C^dag Sigma_a|x>)
     for choice in itertools.product((0, 1), repeat=k):
         coeff = 1 + 0j
         sigma = PauliOperator.identity(n)
@@ -181,6 +176,8 @@ def simulate_noncommuting_pauli(
                 coeff *= 1j * np.sin(g.theta)
             else:
                 coeff *= np.cos(g.theta)
+        if coeff == 0:
+            continue
         # chosen extras commute to the front (input side); each member applied
         # before a chosen extra picks up that extra's anticommutation sign
         signs = []
@@ -194,57 +191,45 @@ def simulate_noncommuting_pauli(
         for l in reversed(range(k)):  # later extras end up on the left
             if choice[l]:
                 sigma = multiply(sigma, extras[l].pauli)
-        branches.append((coeff, signs, sigma))
-
-    weight = sum(abs(co) for co, _, _ in branches)
-    n_terms = len(branches) ** 2
-    eps_term = cfg.epsilon / max(weight**2, 1e-300)
-    term_cfg = EstimatorConfig(
-        epsilon=min(1.0, eps_term),
-        delta=cfg.delta / n_terms,
-        seed=cfg.seed,
-        k_override=cfg.k_override,
-        median_of_means=cfg.median_of_means,
-    )
-
-    psi_cache: dict[int, StabilizerState] = {}
-
-    def state_for(z: int) -> StabilizerState:
+        mu, z = sigma.act_on_basis(xv)
         if z not in psi_cache:
-            psi_cache[z] = evolve(z, c.inverse())
-        return psi_cache[z]
+            psi_cache[z] = evolve(z, c_inv)
+        branches.append((abs(coeff), coeff * mu / abs(coeff), signs, psi_cache[z]))
+
+    weight = sum(b[0] for b in branches)
+    if cfg.k_override is not None:
+        k_total = cfg.k_override
+    else:
+        pair_eps = min(1.0, cfg.epsilon / weight**2)
+        k_total = EstimatorConfig(epsilon=pair_eps, delta=cfg.delta).k
+    pairs = list(itertools.product(branches, repeat=2))
+    counts = rng.multinomial(k_total, [a[0] * b[0] / weight**2 for a, b in pairs])
 
     total = 0 + 0j
     max_violation = 0.0
-    for co_a, s_a, sig_a in branches:
-        if co_a == 0:
+    for ((_, u_a, s_a, psi_a), (_, u_b, s_b, psi_b)), k_ab in zip(pairs, counts):
+        if not k_ab:
             continue
-        mu_a, z_a = sig_a.act_on_basis(xv)
-        psi_a = state_for(z_a)
-        for co_b, s_b, sig_b in branches:
-            if co_b == 0:
-                continue
-            mu_b, z_b = sig_b.act_on_basis(xv)
-            psi_b = state_for(z_b)
-            # D_a^dag P D_b = P * prod_j e^{i theta_j (s_b[j] - s_a[j] f_j) Q_j}
-            ops: list[MonomialOperator] = [PauliMonomial(p_obs)]
-            for j, d in enumerate(diag):
-                theta = members[j].theta * (s_b[j] - s_a[j] * f_obs[j])
-                if theta:
-                    ops.append(DiagonalZExp(theta, d.q))
-            m = Composition(ops) if len(ops) > 1 else ops[0]
-            res = estimate_monomial_sandwich(psi_a, m, psi_b, term_cfg, rng)
-            max_violation = max(max_violation, res.max_modulus_violation)
-            total += np.conj(co_a * mu_a) * co_b * mu_b * complex(res.raw_value)
-    raw = total.real
-    out = EstimateResult(
+        # D_a^dag P D_b = P * prod_j e^{i theta_j (s_b[j] - s_a[j] f_j) Q_j}
+        ops: list[MonomialOperator] = [PauliMonomial(p_obs)]
+        for j, d in enumerate(diag):
+            theta = members[j].theta * (s_b[j] - s_a[j] * f_obs[j])
+            if theta:
+                ops.append(DiagonalZExp(theta, d.q))
+        m = Composition(ops) if len(ops) > 1 else ops[0]
+        res = estimate_monomial_sandwich(
+            psi_a, m, psi_b, EstimatorConfig(k_override=int(k_ab)), rng
+        )
+        max_violation = max(max_violation, res.max_modulus_violation)
+        total += k_ab * np.conj(u_a) * u_b * complex(res.raw_value)
+    raw = float((weight**2 * total / k_total).real)
+    return EstimateResult(
         value=min(1.0, max(-1.0, raw)),
         raw_value=raw,
         epsilon=cfg.epsilon,
         delta=cfg.delta,
-        k=term_cfg.k,
+        k=k_total,
         seed=cfg.seed,
         elapsed_ms=(time.perf_counter() - t0) * 1e3,
         max_modulus_violation=max_violation,
     )
-    return out

@@ -187,6 +187,21 @@ class TestErrorsAndDeterminism:
         code, _, err = run_cli(capsys, "paulisim", path, "--qubit", "9", "--seed", "1")
         assert code == 1 and "outside the register" in err
 
+    @pytest.mark.parametrize("shots", ["0", "-3"])
+    def test_paulisim_rejects_nonpositive_shots(self, qc, capsys, shots):
+        path = qc("c.qc", XROT)
+        code, out, err = run_cli(
+            capsys, "paulisim", path, "--qubit", "1", "--seed", "1", "--shots", shots
+        )
+        assert code == 1 and not out and "error:" in err
+
+    def test_paulisim_rejects_bad_input_digit(self, qc, capsys):
+        path = qc("c.qc", "circuit 3\nexppauli 0.4 ZZI\n")
+        code, out, err = run_cli(
+            capsys, "paulisim", path, "--qubit", "1", "--seed", "1", "--input", "210"
+        )
+        assert code == 1 and not out and "error:" in err
+
     def test_stdout_deterministic_across_workers(self, qc, capsys):
         path = qc("c.qc", BELLISH)
         outs = []

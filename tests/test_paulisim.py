@@ -29,6 +29,14 @@ def _dense_value(gate_list, n, xv, qubit):
     return expectation(s, Observable((qubit,), Z2))
 
 
+def _random_hermitian_pauli(n, rng):
+    while True:
+        a = int(rng.integers(1 << n))
+        b = int(rng.integers(1 << n))
+        if a | b:
+            return PauliOperator(n, (a & b).bit_count() & 1, a, b)
+
+
 class TestCompile:
     def test_factorization_dense(self, rng):
         for _ in range(8):
@@ -154,6 +162,50 @@ class TestNonCommutingSimulation:
             if abs(res.value - want) > cfg.epsilon:
                 misses += 1
         assert misses <= 1
+
+    def test_matches_oracle_k3(self, rng):
+        cfg = EstimatorConfig(epsilon=0.1, delta=0.05)
+        for _ in range(4):
+            n = int(rng.integers(2, 5))
+            program = [
+                MemberGate(float(rng.uniform(0, 2 * np.pi)), p)
+                for p in random_commuting_paulis(n, 3, rng)
+            ]
+            for _ in range(3):
+                program.insert(
+                    int(rng.integers(len(program) + 1)),
+                    ExtraGate(float(rng.uniform(0, 2 * np.pi)), _random_hermitian_pauli(n, rng)),
+                )
+            xv = int(rng.integers(1 << n))
+            q = int(rng.integers(n))
+            want = _dense_value([(g.theta, g.pauli) for g in program], n, xv, q)
+            res = simulate_noncommuting_pauli(program, xv, q, cfg, rng)
+            assert abs(res.value - want) <= cfg.epsilon
+
+    def test_total_sample_count(self, rng):
+        program = [
+            ExtraGate(math.pi / 8, parse_pauli("XI")),
+            MemberGate(0.3, parse_pauli("ZZ")),
+            ExtraGate(-math.pi / 8, parse_pauli("IY")),
+        ]
+        cfg = EstimatorConfig(epsilon=0.2, delta=0.1)
+        w = (math.cos(math.pi / 8) + math.sin(math.pi / 8)) ** 2
+        res = simulate_noncommuting_pauli(program, 0, 0, cfg, rng)
+        assert res.k == math.ceil(4 * w**4 * math.log(2 / cfg.delta) / cfg.epsilon**2)
+        res = simulate_noncommuting_pauli(program, 0, 0, EstimatorConfig(k_override=37), rng)
+        assert res.k == 37
+
+    def test_same_seed_same_value(self, rng):
+        program = [
+            MemberGate(0.7, parse_pauli("ZZI")),
+            ExtraGate(0.4, parse_pauli("XIZ")),
+            MemberGate(1.1, parse_pauli("XXI")),
+            ExtraGate(-1.2, parse_pauli("YYI")),
+        ]
+        cfg = EstimatorConfig(epsilon=0.2, delta=0.1)
+        r1 = simulate_noncommuting_pauli(program, "011", 1, cfg, np.random.default_rng(5))
+        r2 = simulate_noncommuting_pauli(program, "011", 1, cfg, np.random.default_rng(5))
+        assert r1.raw_value == r2.raw_value
 
     def test_k0_matches_commuting_path(self, rng):
         n = 3
