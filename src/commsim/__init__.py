@@ -48,7 +48,6 @@ from .local2 import (
     ProductState,
     simulate_2local,
     simulate_2local_phase_commuting,
-    strip_disjoint_gates,
 )
 from .oracle import (
     Observable,

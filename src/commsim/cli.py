@@ -9,6 +9,7 @@ deterministic given (argv, seed); timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import secrets
@@ -98,7 +99,14 @@ def _parse_obs(spec: str, n: int, d: int) -> Observable:
                 continue
             vals = [float(t) for t in line.split()]
             rows.append([complex(r, i) for r, i in zip(vals[::2], vals[1::2])])
-        return Observable(support, np.array(rows, dtype=complex))
+        m = np.array(rows, dtype=complex)
+        dim = d ** len(support)
+        if m.shape != (dim, dim):
+            raise ValueError(
+                f"observable matrix has shape {m.shape}, expected ({dim}, {dim})"
+                f" for {len(support)} qudit(s) of dimension {d}"
+            )
+        return Observable(support, m)
     if d != 2:
         raise ValueError("named Pauli observables need d = 2; use a matrix file")
     if spec[:1].upper() in _PAULI_LETTERS and spec[1:].isdigit():
@@ -131,12 +139,7 @@ def _cap(args) -> int:
 
 
 def _estimator_cfg(args, seed: int) -> EstimatorConfig:
-    return EstimatorConfig(
-        epsilon=args.epsilon,
-        delta=args.delta,
-        seed=seed,
-        k_override=args.shots,
-    )
+    return dataclasses.replace(args.cfg, seed=seed, k_override=args.shots)
 
 
 def _gate_list(c: Circuit) -> list[tuple[float, PauliOperator]]:
@@ -388,7 +391,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "epsilon"):
+        try:
+            args.cfg = EstimatorConfig(epsilon=args.epsilon, delta=args.delta)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except (CommsimError, ValueError, OSError) as exc:

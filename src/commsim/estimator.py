@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SizeMismatch, ZeroAmplitudeSample
-from .pauli import PauliOperator
+from .pauli import _I4, PauliOperator
 from .stabilizer import StabilizerState
-
-_I4 = (1 + 0j, 1j, -1 + 0j, -1j)
 
 MODULUS_TOL = 1e-12
 
@@ -69,36 +67,27 @@ class EstimateResult:
 
 
 class MonomialOperator:
-    """Interface: ``M|y> = eval_phase(y) |permute(y)>`` with unit phases."""
+    """Interface: ``M|y> = eval_phase_many(y) |permute_many(y)>`` with unit phases.
+
+    Both methods act on uint64 arrays of basis states (n <= 64).
+    """
 
     n: int
-
-    def eval_phase(self, y: int) -> complex:
-        raise NotImplementedError
-
-    def permute(self, y: int) -> int:
-        raise NotImplementedError
-
-    def permute_inv(self, y: int) -> int:
-        raise NotImplementedError
 
     def adjoint(self) -> "MonomialOperator":
         raise NotImplementedError
 
-    # vectorized paths over uint64 sample arrays (n <= 64)
-
     def eval_phase_many(self, ys: np.ndarray) -> np.ndarray:
-        return np.array([self.eval_phase(int(y)) for y in ys])
+        raise NotImplementedError
 
     def permute_many(self, ys: np.ndarray) -> np.ndarray:
-        return np.array([self.permute(int(y)) for y in ys], dtype=np.uint64)
+        raise NotImplementedError
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix for desk-scale checks; qubit 0 is bit 0 of the index."""
-        dim = 1 << self.n
-        m = np.zeros((dim, dim), dtype=complex)
-        for y in range(dim):
-            m[self.permute(y), y] = self.eval_phase(y)
+        ys = np.arange(1 << self.n, dtype=np.uint64)
+        m = np.zeros((len(ys), len(ys)), dtype=complex)
+        m[self.permute_many(ys).astype(np.int64), np.arange(len(ys))] = self.eval_phase_many(ys)
         return m
 
 
@@ -112,15 +101,6 @@ class PauliMonomial(MonomialOperator):
     def __init__(self, p: PauliOperator):
         self.p = p
         self.n = p.n
-
-    def eval_phase(self, y: int) -> complex:
-        return _I4[self.p.phase_exponent_on_basis(y)]
-
-    def permute(self, y: int) -> int:
-        return y ^ self.p.a
-
-    def permute_inv(self, y: int) -> int:
-        return y ^ self.p.a
 
     def adjoint(self) -> "PauliMonomial":
         return PauliMonomial(self.p.adjoint())
@@ -142,19 +122,6 @@ class DiagonalZExp(MonomialOperator):
         self.theta = float(theta)
         self.q = q
         self.n = q.n
-
-    def _eigen(self, y: int) -> int:
-        s = -1 if self.q.t == 2 else 1
-        return s * (1 - 2 * ((self.q.b & y).bit_count() & 1))
-
-    def eval_phase(self, y: int) -> complex:
-        return complex(np.exp(1j * self.theta * self._eigen(y)))
-
-    def permute(self, y: int) -> int:
-        return y
-
-    def permute_inv(self, y: int) -> int:
-        return y
 
     def adjoint(self) -> "DiagonalZExp":
         return DiagonalZExp(-self.theta, self.q)
@@ -182,23 +149,6 @@ class Composition(MonomialOperator):
         if any(m.n != self.n for m in ops):
             raise SizeMismatch("composed monomials act on different registers")
 
-    def eval_phase(self, y: int) -> complex:
-        phase = 1 + 0j
-        for m in reversed(self.ops):
-            phase *= m.eval_phase(y)
-            y = m.permute(y)
-        return phase
-
-    def permute(self, y: int) -> int:
-        for m in reversed(self.ops):
-            y = m.permute(y)
-        return y
-
-    def permute_inv(self, y: int) -> int:
-        for m in self.ops:
-            y = m.permute_inv(y)
-        return y
-
     def adjoint(self) -> "Composition":
         return Composition([m.adjoint() for m in reversed(self.ops)])
 
@@ -217,29 +167,6 @@ class Composition(MonomialOperator):
     def permute_many(self, ys: np.ndarray) -> np.ndarray:
         for m in reversed(self.ops):
             ys = m.permute_many(ys)
-        return ys
-
-
-class Identity(MonomialOperator):
-    def __init__(self, n: int):
-        self.n = n
-
-    def eval_phase(self, y: int) -> complex:
-        return 1 + 0j
-
-    def permute(self, y: int) -> int:
-        return y
-
-    def permute_inv(self, y: int) -> int:
-        return y
-
-    def adjoint(self) -> "Identity":
-        return self
-
-    def eval_phase_many(self, ys: np.ndarray) -> np.ndarray:
-        return np.ones(ys.shape, dtype=complex)
-
-    def permute_many(self, ys: np.ndarray) -> np.ndarray:
         return ys
 
 

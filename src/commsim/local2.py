@@ -28,6 +28,7 @@ from .circuit import (
 from .errors import (
     DimensionMismatch,
     LocalityExceeded,
+    NotHermitian,
     PhaseMismatch,
     SizeMismatch,
 )
@@ -72,16 +73,6 @@ class ProductState:
         return cls(factors, d)
 
 
-def strip_disjoint_gates(c: Circuit, pivot: int, check: bool = True) -> Circuit:
-    """Keep only the gates whose support includes the pivot qudit."""
-    if not 0 <= pivot < c.n:
-        raise DimensionMismatch("pivot qudit outside the register")
-    if check:
-        check_pairwise_commuting(c)
-    kept = [g for g in c.gates if pivot in g.support]
-    return Circuit(c.n, c.d, kept)
-
-
 def _strip_block(c: Circuit, block: tuple[int, ...]) -> list:
     bset = set(block)
     return [g for g in c.gates if bset & set(g.support)]
@@ -123,7 +114,8 @@ def _contract(
         dim = d ** len(block)
         o = t.reshape(dim, dim)
         herm = np.linalg.norm(o - o.conj().T)
-        assert herm < HERMITICITY_TOL, f"effective observable drifted from Hermitian by {herm}"
+        if herm >= HERMITICITY_TOL:
+            raise NotHermitian(f"effective observable drifted from Hermitian by {herm}")
     # gates entirely inside the block conjugate the observable once at the end
     ub = np.eye(d ** len(block), dtype=complex)
     for g in inner:
@@ -133,7 +125,8 @@ def _contract(
     for q in block:
         alpha = np.kron(alpha, inp.factors[q])
     val = alpha.conj() @ o @ alpha
-    assert abs(val.imag) < 1e-9, f"expectation has imaginary part {val.imag}"
+    if abs(val.imag) >= 1e-9:
+        raise NotHermitian(f"expectation has imaginary part {val.imag}")
     return float(val.real)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, DenseGate, Gate, gate_matrix
-from .errors import CapacityExceeded, DimensionMismatch
+from .errors import CapacityExceeded, DimensionMismatch, NotHermitian
 
 DEFAULT_CAP = 1 << 26  # amplitudes
 
@@ -48,6 +48,8 @@ class Observable:
         self.support = tuple(self.support)
         if list(self.support) != sorted(set(self.support)):
             raise ValueError("observable support must be sorted and distinct")
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
+            raise ValueError(f"observable matrix of shape {self.matrix.shape} is not square")
         if np.linalg.norm(self.matrix - self.matrix.conj().T) > HERM_TOL:
             raise ValueError("observable is not Hermitian")
 
@@ -133,13 +135,14 @@ def run_circuit(c: Circuit, x, cap: int = DEFAULT_CAP) -> StateVector:
 
 
 def expectation(s: StateVector, o: Observable) -> float:
-    """Real part of <s|O|s>; asserts the imaginary part is negligible."""
+    """Real part of <s|O|s>; a non-negligible imaginary part raises NotHermitian."""
     if o.support and max(o.support) >= s.n:
         raise DimensionMismatch("observable support outside the register")
     t = s.tensor()
     ot = _apply_matrix(t, o.matrix, o.support, s.d)
     val = np.vdot(t, ot)
-    assert abs(val.imag) < 1e-9, f"expectation has imaginary part {val.imag}"
+    if abs(val.imag) >= 1e-9:
+        raise NotHermitian(f"expectation has imaginary part {val.imag}")
     return float(val.real)
 
 

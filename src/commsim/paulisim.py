@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotCommuting, NotHermitian, SizeMismatch, TooManyExtras
+from .errors import NotHermitian, SizeMismatch, TooManyExtras
 from .estimator import (
     Composition,
     DiagonalZExp,
@@ -35,11 +35,11 @@ from .estimator import (
     PauliMonomial,
     estimate_monomial_sandwich,
 )
-from .oracle import parse_basis_label
 from .pauli import PauliOperator, commutes, multiply
 from .stabilizer import (
     CliffordCircuit,
-    CliffordTableau,
+    _as_int_label,
+    conjugate_pauli,
     diagonalize_commuting_set,
     evolve,
 )
@@ -70,6 +70,7 @@ def compile_commuting_pauli(
 
     Returns (c, diag, obs_map): the Clifford c, the diagonal factors
     DiagonalZExp(theta_j, c^dag P_j c), and obs_map(A) = c^dag A c.
+    Non-commuting members raise NotCommuting from diagonalize_commuting_set.
     """
     if gates:
         n = gates[0][1].n
@@ -81,27 +82,13 @@ def compile_commuting_pauli(
             raise SizeMismatch(f"gate {i} acts on {p.n} qubits, expected {n}")
         if not p.is_hermitian():
             raise NotHermitian(f"gate {i} exponentiates a non-Hermitian Pauli")
-    for i in range(len(paulis)):
-        for j in range(i + 1, len(paulis)):
-            if not commutes(paulis[i], paulis[j]):
-                raise NotCommuting(i, j)
     if paulis:
         c, qs = diagonalize_commuting_set(paulis)
     else:
         c = CliffordCircuit(n, ())
         qs = []
     diag = [DiagonalZExp(theta, q) for (theta, _), q in zip(gates, qs)]
-    inv_tab = CliffordTableau.from_circuit(c.inverse())
-    return c, diag, inv_tab.conjugate
-
-
-def _as_int_label(x, n: int) -> int:
-    """Basis label as an int with bit k = qubit k; strings list qubits in order."""
-    if isinstance(x, int):
-        if not 0 <= x < 1 << n:
-            raise ValueError(f"basis index {x} out of range for {n} qubits")
-        return x
-    return sum(bit << k for k, bit in enumerate(parse_basis_label(x, n, 2)))
+    return c, diag, lambda p: conjugate_pauli(c, p, "inverse")
 
 
 def simulate_commuting_pauli(

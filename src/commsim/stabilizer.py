@@ -1,18 +1,25 @@
 """Stabilizer-tableau engine.
 
-Clifford circuits are gate lists over {h, s, x, z, cnot, cz}; conjugation is
-exact on the (t, a, b) normal form.  A stabilizer state is stored as its
-generator list plus a phased anchor amplitude, from which an affine-subspace
-form (support coset + exact phases) is derived lazily.  That form yields
-exact amplitudes, Born sampling, and the amplitude convention used across
-the package: the lexicographically least support element has a real positive
-coefficient.
+Clifford circuits are gate lists over {h, s, x, z, cnot, cz}.  One rule,
+``_conj_gate``, conjugates a Pauli by one gate with the Aaronson-Gottesman
+bit updates on the (t, a, b) normal form; :func:`conjugate_pauli` pushes a
+single Pauli through a circuit with it, and :class:`CliffordTableau` keeps
+the images of all X_k and Z_k for callers that conjugate many Paulis.
+
+A stabilizer state is stored as its generator list plus a phased anchor
+amplitude, from which an affine-subspace form (support coset + exact phases)
+is derived lazily.  That form yields exact amplitudes, Born sampling, and the
+amplitude convention used across the package: the lexicographically least
+support element has a real positive coefficient.  The affine form and prep
+synthesis share one X-block elimination, ``_reduce_x_block``; basis labels
+are ints with bit k = qubit k, or digit strings read by
+:func:`oracle.parse_basis_label`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +32,8 @@ from .errors import (
     NotHermitian,
     SizeMismatch,
 )
-from .pauli import PauliOperator, commutes, multiply
-
-_I4 = (1 + 0j, 1j, -1 + 0j, -1j)
+from .oracle import parse_basis_label
+from .pauli import _I4, PauliOperator, commutes, multiply
 
 CLIFFORD_GATES = {"h": 1, "s": 1, "x": 1, "z": 1, "cnot": 2, "cz": 2}
 
@@ -72,88 +78,32 @@ class CliffordCircuit:
 
 
 def _conj_gate(p: PauliOperator, name: str, qs: tuple[int, ...]) -> PauliOperator:
-    """Image ``g P g^dag`` for a single named Clifford gate."""
-    n = p.n
-    smask = 0
-    for q in qs:
-        smask |= 1 << q
-    a_s, b_s = p.a & smask, p.b & smask
-    if not (a_s | b_s):
-        return p
-    rest = PauliOperator(n, p.t, p.a ^ a_s, p.b ^ b_s)
-    img = PauliOperator.identity(n)
-    for q in qs:  # X factors of the extracted part, ascending position
-        if (a_s >> q) & 1:
-            img = multiply(img, _GEN_X[name](n, qs, q))
-    for q in qs:
-        if (b_s >> q) & 1:
-            img = multiply(img, _GEN_Z[name](n, qs, q))
-    return multiply(img, rest)
+    """Image ``g P g^dag`` for a single named Clifford gate.
 
-
-def _img_x_h(n, qs, q):
-    return PauliOperator(n, 0, 0, 1 << q)
-
-
-def _img_z_h(n, qs, q):
-    return PauliOperator(n, 0, 1 << q, 0)
-
-
-def _img_x_s(n, qs, q):
-    return PauliOperator(n, 1, 1 << q, 1 << q)  # Y
-
-
-def _img_z_id(n, qs, q):
-    return PauliOperator(n, 0, 0, 1 << q)
-
-
-def _img_x_id(n, qs, q):
-    return PauliOperator(n, 0, 1 << q, 0)
-
-
-def _img_z_gx(n, qs, q):
-    return PauliOperator(n, 2, 0, 1 << q)  # -Z
-
-
-def _img_x_gz(n, qs, q):
-    return PauliOperator(n, 2, 1 << q, 0)  # -X
-
-
-def _img_x_cnot(n, qs, q):
-    c, t = qs
-    if q == c:
-        return PauliOperator(n, 0, (1 << c) | (1 << t), 0)
-    return PauliOperator(n, 0, 1 << t, 0)
-
-
-def _img_z_cnot(n, qs, q):
-    c, t = qs
-    if q == t:
-        return PauliOperator(n, 0, 0, (1 << c) | (1 << t))
-    return PauliOperator(n, 0, 0, 1 << c)
-
-
-def _img_x_cz(n, qs, q):
-    other = qs[1] if q == qs[0] else qs[0]
-    return PauliOperator(n, 0, 1 << q, 1 << other)
-
-
-_GEN_X = {
-    "h": _img_x_h,
-    "s": _img_x_s,
-    "x": _img_x_id,
-    "z": _img_x_gz,
-    "cnot": _img_x_cnot,
-    "cz": _img_x_cz,
-}
-_GEN_Z = {
-    "h": _img_z_h,
-    "s": _img_z_id,
-    "x": _img_z_gx,
-    "z": _img_z_id,
-    "cnot": _img_z_cnot,
-    "cz": _img_z_id,
-}
+    The Aaronson-Gottesman update rules act directly on the (t, a, b) form.
+    """
+    t, a, b = p.t, p.a, p.b
+    q = qs[0]
+    x, z = (a >> q) & 1, (b >> q) & 1
+    if name == "h":  # X <-> Z, and XZ -> ZX = -XZ
+        t += 2 * (x & z)
+        a ^= (x ^ z) << q
+        b ^= (x ^ z) << q
+    elif name == "s":  # X -> Y = iXZ
+        t += x
+        b ^= x << q
+    elif name == "x":
+        t += 2 * z
+    elif name == "z":
+        t += 2 * x
+    elif name == "cnot":  # X_c -> X_c X_t, Z_t -> Z_c Z_t
+        a ^= x << qs[1]
+        b ^= ((b >> qs[1]) & 1) << q
+    else:  # cz: X_1 -> X_1 Z_2, X_2 -> Z_1 X_2
+        x2 = (a >> qs[1]) & 1
+        t += 2 * (x & x2)
+        b ^= (x << qs[1]) | (x2 << q)
+    return PauliOperator(p.n, t % 4, a, b)
 
 
 class CliffordTableau:
@@ -195,12 +145,46 @@ def conjugate_pauli(
     """``U P U^dag`` (forward) or ``U^dag P U`` (inverse) for U = circuit of c."""
     if direction not in ("forward", "inverse"):
         raise ValueError("direction must be 'forward' or 'inverse'")
-    circ = c if direction == "forward" else c.inverse()
-    return CliffordTableau.from_circuit(circ).conjugate(p)
+    if p.n != c.n:
+        raise SizeMismatch("Pauli width differs from circuit width")
+    for name, qs in (c if direction == "forward" else c.inverse()).gates:
+        p = _conj_gate(p, name, qs)
+    return p
 
 
 # ---------------------------------------------------------------------------
 # stabilizer states
+
+
+def _as_int_label(x, n: int) -> int:
+    """Basis label as an int with bit k = qubit k; strings list qubits in order."""
+    if isinstance(x, (int, np.integer)):
+        if not 0 <= x < 1 << n:
+            raise ValueError(f"basis index {x} out of range for {n} qubits")
+        return int(x)
+    return sum(bit << k for k, bit in enumerate(parse_basis_label(x, n, 2)))
+
+
+def _reduce_x_block(rows: list[PauliOperator]) -> dict[int, int]:
+    """Row-reduce the X parts of ``rows`` in place; return {pivot qubit: row index}.
+
+    Pivot qubits come in ascending order, each pivot row is the only row with
+    an X on its pivot qubit, and the rows without a pivot end with no X part.
+    """
+    piv_of: dict[int, int] = {}
+    used: set[int] = set()
+    for q in range(rows[0].n):
+        hit = next(
+            (i for i, g in enumerate(rows) if i not in used and (g.a >> q) & 1), None
+        )
+        if hit is None:
+            continue
+        piv_of[q] = hit
+        used.add(hit)
+        for i, g in enumerate(rows):
+            if i != hit and (g.a >> q) & 1:
+                rows[i] = multiply(g, rows[hit])
+    return piv_of
 
 
 @dataclass
@@ -264,23 +248,9 @@ class StabilizerState:
         if self._affine is not None:
             return self._affine
         rows = list(self.generators)
-        movers: list[tuple[PauliOperator, int]] = []
-        pivoted: set[int] = set()
-        piv_of: dict[int, int] = {}  # pivot qubit -> index in rows
-        for q in range(self.n):
-            hit = next(
-                (i for i, g in enumerate(rows) if i not in pivoted and (g.a >> q) & 1),
-                None,
-            )
-            if hit is None:
-                continue
-            piv_of[q] = hit
-            pivoted.add(hit)
-            for i, g in enumerate(rows):
-                if i != hit and (g.a >> q) & 1:
-                    rows[i] = multiply(g, rows[hit])
-        for q, i in sorted(piv_of.items()):
-            movers.append((rows[i], q))
+        piv_of = _reduce_x_block(rows)
+        movers = [(rows[i], q) for q, i in piv_of.items()]
+        pivoted = set(piv_of.values())
         zcons = [g for i, g in enumerate(rows) if i not in pivoted]
         for h in zcons:
             if h.a != 0:
@@ -330,7 +300,7 @@ class StabilizerState:
 
     def amplitude(self, y, phased: bool = False) -> complex:
         """Exact ``<y|psi>``; by convention the least support element is positive."""
-        y = self._as_int(y)
+        y = _as_int_label(y, self.n)
         if phased:
             return self.amplitude_raw(y)
         aff = self.affine_form()
@@ -345,17 +315,6 @@ class StabilizerState:
         aff = self.affine_form()
         a0 = self.amplitude_raw(aff.y0)
         return a0 / abs(a0)
-
-    def _as_int(self, y) -> int:
-        if isinstance(y, int):
-            return y
-        digits = [int(ch) for ch in str(y)]
-        if len(digits) != self.n:
-            raise ValueError(f"basis label needs {self.n} bits")
-        out = 0
-        for k, v in enumerate(digits):
-            out |= (v & 1) << k
-        return out
 
     def label(self, y: int) -> str:
         return "".join(str((y >> k) & 1) for k in range(self.n))
@@ -440,12 +399,7 @@ def _monomial_action(name: str, qs: tuple[int, ...], y: int) -> tuple[int, int]:
 def evolve(x, c: CliffordCircuit) -> StabilizerState:
     """``C|x>`` with the exact global phase tracked gate by gate."""
     n = c.n
-    if isinstance(x, str):
-        xv = 0
-        for k, ch in enumerate(x.strip()):
-            xv |= (int(ch) & 1) << k
-    else:
-        xv = int(x)
+    xv = _as_int_label(x, n)
     gens = [
         PauliOperator(n, 2 * ((xv >> k) & 1), 0, 1 << k) for k in range(n)
     ]
@@ -543,21 +497,9 @@ def synthesize_prep(s: StabilizerState) -> CliffordCircuit:
         applied.append((name, qs))
         rows = [_conj_gate(g, name, qs) for g in rows]
 
-    # row-reduce the X block; pivots: leftmost-lowest qubit order
-    piv_of: dict[int, int] = {}
-    used: set[int] = set()
-    for q in range(n):
-        hit = next(
-            (i for i, g in enumerate(rows) if i not in used and (g.a >> q) & 1), None
-        )
-        if hit is None:
-            continue
-        piv_of[q] = hit
-        used.add(hit)
-        for i, g in enumerate(rows):
-            if i != hit and (g.a >> q) & 1:
-                rows[i] = multiply(g, rows[hit])
-    pivots = sorted(piv_of)  # pivot qubits
+    piv_of = _reduce_x_block(rows)
+    pivots = list(piv_of)
+    used = set(piv_of.values())
     # CNOTs: shrink each pivot row's X part to its pivot qubit
     for q in pivots:
         i = piv_of[q]
@@ -606,13 +548,8 @@ def synthesize_prep(s: StabilizerState) -> CliffordCircuit:
             raise AssertionError("reduction did not reach +-Z form")
         if g.t == 2:
             v |= g.b
-    prep: list[tuple[str, tuple[int, ...]]] = [("x", (k,)) for k in range(n) if (v >> k) & 1]
-    for name, qs in reversed(applied):
-        if name == "s":
-            prep += [("s", qs)] * 3
-        else:
-            prep.append((name, qs))
-    return CliffordCircuit(n, tuple(prep))
+    flips = CliffordCircuit(n, tuple(("x", (k,)) for k in range(n) if (v >> k) & 1))
+    return flips.then(CliffordCircuit(n, tuple(applied)).inverse())
 
 
 def diagonalize_commuting_set(

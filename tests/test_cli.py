@@ -176,6 +176,22 @@ class TestErrorsAndDeterminism:
         )
         assert code == 1 and "error:" in err
 
+    def test_obs_matrix_shape_mismatch(self, qc, capsys):
+        cpath = qc("c.qc", "circuit 2\nh 1\n")
+        opath = qc("m.mat", "1 0 0 0 0 0\n0 0 1 0 0 0\n0 0 0 0 1 0\n")
+        code, out, err = run_cli(capsys, "oracle", cpath, "--obs", f"{opath}@1")
+        assert code == 1 and not out
+        assert "shape (3, 3), expected (2, 2)" in err
+
+    @pytest.mark.parametrize("flag,value", [("--epsilon", "0"), ("--delta", "1.5")])
+    def test_bad_accuracy_is_usage_error(self, qc, capsys, flag, value):
+        path = qc("c.qc", XROT)
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["paulisim", path, "--qubit", "1", "--seed", "1", flag, value])
+        assert exc.value.code == 2
+        cap = capsys.readouterr()
+        assert not cap.out and "must be in" in cap.err
+
     def test_usage_error_exit_2(self, qc, capsys):
         with pytest.raises(SystemExit) as exc:
             dispatch(["no-such-command"])

@@ -8,7 +8,6 @@ from commsim.estimator import (
     Composition,
     DiagonalZExp,
     EstimatorConfig,
-    Identity,
     PauliMonomial,
     estimate_monomial_sandwich,
 )
@@ -93,23 +92,32 @@ class TestMonomialAlgebra:
 
     def test_permute_inverse(self, rng):
         comp = _random_monomial(4, rng)
-        for y in range(16):
-            assert comp.permute_inv(comp.permute(y)) == y
+        ys = np.arange(16, dtype=np.uint64)
+        assert np.array_equal(comp.adjoint().permute_many(comp.permute_many(ys)), ys)
 
     def test_vectorized_matches_scalar(self, rng):
+        # per-basis-state reference: apply the factors right to left
         comp = _random_monomial(4, rng)
+        want_phase, want_perm = [], []
+        for y in range(16):
+            phase = 1 + 0j
+            for op in reversed(comp.ops):
+                if isinstance(op, PauliMonomial):
+                    lam, y = op.p.act_on_basis(y)
+                else:
+                    lam, _ = op.q.act_on_basis(y)
+                    lam = np.exp(1j * op.theta * lam.real)
+                phase *= lam
+            want_phase.append(phase)
+            want_perm.append(y)
         ys = np.arange(16, dtype=np.uint64)
-        assert np.allclose(
-            comp.eval_phase_many(ys), [comp.eval_phase(y) for y in range(16)], atol=1e-12
-        )
-        assert np.array_equal(
-            comp.permute_many(ys), [comp.permute(y) for y in range(16)]
-        )
+        assert np.allclose(comp.eval_phase_many(ys), want_phase, atol=1e-12)
+        assert np.array_equal(comp.permute_many(ys), want_perm)
 
     def test_identity(self):
-        i = Identity(2)
+        i = PauliMonomial(PauliOperator.identity(2))
         assert np.allclose(i.to_matrix(), np.eye(4))
-        assert i.adjoint() is i
+        assert np.allclose(i.adjoint().to_matrix(), np.eye(4))
 
 
 class TestConfig:
@@ -134,7 +142,7 @@ class TestSandwichEstimator:
         c = random_clifford_circuit(4, 12, rng)
         psi = evolve(0b0110, c)
         cfg = EstimatorConfig(k_override=200)
-        res = estimate_monomial_sandwich(psi, Identity(4), psi, cfg, rng)
+        res = estimate_monomial_sandwich(psi, PauliMonomial(PauliOperator.identity(4)), psi, cfg, rng)
         assert res.value == pytest.approx(1.0, abs=1e-12)
         assert res.max_modulus_violation == 0.0
         assert res.k == 200
@@ -170,4 +178,6 @@ class TestSandwichEstimator:
         psi = evolve(0, random_clifford_circuit(2, 4, rng))
         phi = evolve(0, random_clifford_circuit(3, 4, rng))
         with pytest.raises(SizeMismatch):
-            estimate_monomial_sandwich(psi, Identity(2), phi, EstimatorConfig(), rng)
+            estimate_monomial_sandwich(
+                psi, PauliMonomial(PauliOperator.identity(2)), phi, EstimatorConfig(), rng
+            )

@@ -14,14 +14,12 @@ from commsim.circuit import Circuit, NamedGate, PauliExpGate
 from commsim.errors import (
     DimensionMismatch,
     LocalityExceeded,
-    NotCommuting,
     PhaseMismatch,
 )
 from commsim.local2 import (
     ProductState,
     simulate_2local,
     simulate_2local_phase_commuting,
-    strip_disjoint_gates,
     verify_phase_table,
 )
 from commsim.oracle import Observable, apply_circuit, expectation, product_state
@@ -94,20 +92,6 @@ class TestAgainstOracle:
         big = Circuit(n + 3, 2, list(c.gates))
         big_inp = ProductState(inp.factors + [np.array([1.0, 0.0])] * 3, 2)
         assert simulate_2local(big, big_inp, obs) == pytest.approx(v, abs=1e-12)
-
-
-class TestStripping:
-    def test_strip_keeps_pivot_gates(self, rng):
-        c = commuting_pauli_exp_circuit(5, 8, rng)
-        s = strip_disjoint_gates(c, 2)
-        assert all(2 in g.support for g in s.gates)
-        assert len(s.gates) == sum(1 for g in c.gates if 2 in g.support)
-
-    def test_strip_checks_commutation(self):
-        c = Circuit(2, 2, [NamedGate("x", (0,)), NamedGate("z", (0,))])
-        with pytest.raises(NotCommuting):
-            strip_disjoint_gates(c, 0)
-        strip_disjoint_gates(c, 0, check=False)
 
 
 class TestPhaseCommuting:

@@ -142,6 +142,9 @@ class TestDerivedQuantities:
             Observable((1, 0), np.eye(4))
         with pytest.raises(ValueError):
             Observable((0,), np.array([[0, 1], [0, 0]], dtype=complex))
+        for shape in ((2, 3), (3,)):
+            with pytest.raises(ValueError, match="not square"):
+                Observable((0,), np.ones(shape))
 
     def test_matrix_element(self):
         c = Circuit(2, 2, [NamedGate("h", (0,)), NamedGate("cnot", (0, 1))])

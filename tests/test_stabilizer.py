@@ -105,6 +105,18 @@ class TestEvolve:
         s = evolve("10", CliffordCircuit(2))
         assert s.amplitude_raw(0b01) == 1.0
 
+    @pytest.mark.parametrize("x", ["21", "1", "101", 4, -1])
+    def test_rejects_bad_input_label(self, x):
+        with pytest.raises(ValueError):
+            evolve(x, CliffordCircuit(2))
+
+    @pytest.mark.parametrize("y", ["20", "0", 4])
+    def test_amplitude_rejects_bad_label(self, y):
+        s = evolve(0, CliffordCircuit(2))
+        assert s.amplitude("00") == 1.0
+        with pytest.raises(ValueError):
+            s.amplitude(y)
+
     def test_amplitude_convention(self, rng):
         c = random_clifford_circuit(3, 12, rng)
         s = evolve(0, c)
