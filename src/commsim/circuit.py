@@ -46,10 +46,24 @@ class NamedGate:
 
 @dataclass(frozen=True)
 class DenseGate:
-    """Explicit unitary on ``qudits`` (sorted); axes follow that order."""
+    """Explicit unitary on ``qudits`` (sorted); axes follow that order.
+
+    The matrix is checked for unitarity once, here, and kept as a read-only
+    copy, so a constructed gate stays valid and its identity can key caches.
+    """
 
     qudits: tuple[int, ...]
     matrix: np.ndarray = field(hash=False)
+
+    def __post_init__(self):
+        m = np.array(self.matrix)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"dense matrix of shape {m.shape} is not square")
+        err = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
+        if err > UNITARY_TOL:
+            raise ValueError(f"dense matrix is not unitary (deviation {err:.2e})")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -118,9 +132,6 @@ class Circuit:
             dim = self.d ** len(g.qudits)
             if g.matrix.shape != (dim, dim):
                 raise ValueError("dense matrix shape does not match support")
-            err = np.linalg.norm(g.matrix.conj().T @ g.matrix - np.eye(dim))
-            if err > UNITARY_TOL:
-                raise ValueError(f"dense matrix is not unitary (deviation {err:.2e})")
         if isinstance(g, PauliExpGate):
             if g.pauli.n != self.n:
                 raise ValueError("Pauli width must equal the register size")
@@ -409,10 +420,10 @@ def _parse_gate_line(line: str, no: int, n: int, d: int) -> Gate:
         if list(qudits) != sorted(qudits):
             m = _permute_axes(m, qudits, tuple(sorted(qudits)), d)
             qudits = tuple(sorted(qudits))
-        err = np.linalg.norm(m.conj().T @ m - np.eye(dim))
-        if err > UNITARY_TOL:
-            raise ParseError(no, f"dense matrix is not unitary (deviation {err:.2e})")
-        return DenseGate(qudits, m)
+        try:
+            return DenseGate(qudits, m)
+        except ValueError as exc:
+            raise ParseError(no, str(exc)) from None
     if op == "ctrl":
         if d != 2:
             raise ParseError(no, f"ctrl undefined for d={d}")

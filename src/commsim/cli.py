@@ -135,7 +135,15 @@ def _cap(args) -> int:
     if args.max_amplitudes is not None:
         return args.max_amplitudes
     env = os.environ.get(CAP_ENV)
-    return int(env) if env else DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"${CAP_ENV} must be a positive integer, got {env!r}")
+    return cap
 
 
 def _estimator_cfg(args, seed: int) -> EstimatorConfig:
@@ -393,6 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def dispatch(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.max_amplitudes is not None and args.max_amplitudes < 1:
+        parser.error("--max-amplitudes must be a positive integer")
     if hasattr(args, "epsilon"):
         try:
             args.cfg = EstimatorConfig(epsilon=args.epsilon, delta=args.delta)

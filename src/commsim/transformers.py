@@ -28,7 +28,7 @@ from .circuit import (
 )
 from .errors import LightconeTooLarge, NotCommuting, SizeMismatch
 from .estimator import EstimateResult, EstimatorConfig
-from .oracle import run_circuit
+from .oracle import DEFAULT_CAP, StateVector, apply_gate, basis_state
 from .pauli import PauliOperator
 from .stabilizer import CliffordCircuit, CliffordTableau
 
@@ -56,14 +56,35 @@ class GammaKExecutor:
 
 
 class DenseOracleExecutor(GammaKExecutor):
-    """Backs the executor interface with the statevector simulator."""
+    """Backs the executor interface with the statevector simulator.
+
+    The executor keeps the states along its last run, one per gate, and
+    resumes the next run after the longest leading run of gates that are the
+    same objects; gates are immutable, so identity implies the same state.
+    Saved states total at most ``cap`` amplitudes, so ``cap`` bounds what
+    the executor holds between runs as well as each state.
+    """
 
     def __init__(self, cap: int | None = None):
-        self.cap = cap
+        self.cap = DEFAULT_CAP if cap is None else cap
+        self._shape: tuple[int, int] | None = None
+        self._path: list[tuple[Gate, StateVector]] = []
 
     def _p_plus(self, c: Circuit) -> float:
-        kwargs = {} if self.cap is None else {"cap": self.cap}
-        s = run_circuit(c, [0] * c.n, **kwargs)
+        if self._shape != (c.n, c.d):
+            self._shape, self._path = (c.n, c.d), []
+        k = 0
+        for g, (h, _) in zip(c.gates, self._path):
+            if g is not h:
+                break
+            k += 1
+        del self._path[k:]
+        s = self._path[-1][1] if k else basis_state(c.n, c.d, 0, cap=self.cap)
+        for g in c.gates[k:]:
+            s = apply_gate(s, g, cap=self.cap)
+            # every saved state has this size, so the path stays a prefix
+            if (len(self._path) + 1) * s.amplitudes.size <= self.cap:
+                self._path.append((g, s))
         t = s.tensor()
         # qubit 1 is the leading axis; outcome 0 of it means Z = +1
         p = float(np.sum(np.abs(np.take(t, 0, axis=0)) ** 2))
@@ -252,19 +273,19 @@ def _conjugate_through(u: Circuit, p: PauliOperator, bound: int):
     m = _restrict_pauli(p).to_matrix() if sup else p.to_matrix()
     if not sup:
         raise ValueError("identity observable has no pivot")
-    for layer in reversed(u.layers):
-        for g in layer:
-            if not set(g.support) & set(sup):
-                continue
-            reg = tuple(sorted(set(sup) | set(g.support)))
-            gm = embed_matrix(gate_matrix(g, u.d), g.support, reg, u.d)
-            om = embed_matrix(m, sup, reg, u.d)
-            m = gm.conj().T @ om @ gm
-            sup = reg
-            if len(sup) > bound:
-                raise LightconeTooLarge(
-                    f"conjugated observable spread to {len(sup)} qubits (bound {bound})"
-                )
+    # U = G_m ... G_1, so U^dag P U conjugates by the last gate first
+    for g in reversed(u.gates):
+        if not set(g.support) & set(sup):
+            continue
+        reg = tuple(sorted(set(sup) | set(g.support)))
+        gm = embed_matrix(gate_matrix(g, u.d), g.support, reg, u.d)
+        om = embed_matrix(m, sup, reg, u.d)
+        m = gm.conj().T @ om @ gm
+        sup = reg
+        if len(sup) > bound:
+            raise LightconeTooLarge(
+                f"conjugated observable spread to {len(sup)} qubits (bound {bound})"
+            )
     return sup, m
 
 
@@ -278,6 +299,11 @@ def _subset_plan(n: int, cfg: EstimatorConfig, rng: np.random.Generator):
     delta_term = cfg.delta / (2.0 * k_sub)
     shots_per = math.ceil(16.0 * math.log(2.0 / delta_term) / cfg.epsilon**2)
     return masks, counts, k_sub, shots_per
+
+
+def _require_qubits(u: Circuit):
+    if u.d != 2:
+        raise ValueError("the overlap estimators are defined for qubits")
 
 
 def estimate_cd_overlap(
@@ -295,6 +321,7 @@ def estimate_cd_overlap(
     between subset sampling and the per-subset tests.
     """
     t0 = time.perf_counter()
+    _require_qubits(u)
     n = u.n
     conj = [
         _conjugate_through(u, PauliOperator(n, 0, 0, 1 << j), lightcone_bound)
@@ -309,7 +336,9 @@ def estimate_cd_overlap(
     masks, counts, k_sub, shots_per = _subset_plan(n, cfg, rng)
     total = 0.0
     for mask, count in zip(masks.tolist(), counts.tolist()):
-        gates = [folded[j] for j in range(n) if (mask >> j) & 1]
+        # high qubits first: the masks come sorted, so consecutive subsets
+        # share a leading run of gates that the executor can reuse
+        gates = [folded[j] for j in reversed(range(n)) if (mask >> j) & 1]
         if not gates:  # empty subset: bare ancilla, F = 1
             gates = [
                 DenseGate((0,), _ancilla_fold(np.eye(2, dtype=complex), 0, _H, _H))
@@ -345,16 +374,17 @@ def estimate_cd_clifford_overlap(
     into one ancilla test; the exact phase i^t picks the Re or Im variant.
     """
     t0 = time.perf_counter()
+    _require_qubits(u)
     n = u.n
     if c.n != n:
         raise SizeMismatch("Clifford and circuit act on different registers")
     inv_tab = CliffordTableau.from_circuit(c.inverse())
     conj_x = [
-        _conjugate_through(u, PauliOperator(n, 0, 1 << k, 0), lightcone_bound)
+        DenseGate(*_conjugate_through(u, PauliOperator(n, 0, 1 << k, 0), lightcone_bound))
         for k in range(n)
     ]
     conj_z = [
-        _conjugate_through(u, PauliOperator(n, 0, 0, 1 << k), lightcone_bound)
+        DenseGate(*_conjugate_through(u, PauliOperator(n, 0, 0, 1 << k), lightcone_bound))
         for k in range(n)
     ]
     masks, counts, k_sub, shots_per = _subset_plan(n, cfg, rng)
@@ -362,12 +392,8 @@ def estimate_cd_clifford_overlap(
     for mask, count in zip(masks.tolist(), counts.tolist()):
         zs = PauliOperator(n, 0, 0, int(mask))
         p = inv_tab.conjugate(zs)  # C^dag Z(S) C = i^t X^a Z^b
-        layer1 = Circuit(
-            n, 2, [DenseGate(*conj_x[k]) for k in range(n) if (p.a >> k) & 1]
-        )
-        layer2 = Circuit(
-            n, 2, [DenseGate(*conj_z[k]) for k in range(n) if (p.b >> k) & 1]
-        )
+        layer1 = Circuit(n, 2, [conj_x[k] for k in range(n) if (p.a >> k) & 1])
+        layer2 = Circuit(n, 2, [conj_z[k] for k in range(n) if (p.b >> k) & 1])
         # Re(i^t w) = +-Re w (t even) or -+Im w (t odd)
         part = "real" if p.t % 2 == 0 else "imag"
         sign = {0: 1.0, 1: -1.0, 2: -1.0, 3: 1.0}[p.t]

@@ -69,6 +69,18 @@ class TestGateMatrices:
         with pytest.raises(ValueError):
             Circuit(1, 2, [DenseGate((0,), np.array([[1, 0], [0, 2.0]]))])
 
+    def test_dense_gate_checked_once_and_frozen(self, rng):
+        with pytest.raises(ValueError, match="not square"):
+            DenseGate((0,), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="not unitary"):
+            DenseGate((0,), np.array([[1, 0], [0, 2.0]]))
+        m = random_unitary(2, rng)
+        g = DenseGate((0,), m)
+        m[0, 0] = 5.0  # the gate holds its own copy
+        assert np.allclose(g.matrix.conj().T @ g.matrix, np.eye(2))
+        with pytest.raises(ValueError):
+            g.matrix[0, 0] = 5.0
+
     def test_embed_matrix_kron_identity(self, rng):
         m = random_unitary(2, rng)
         big = embed_matrix(m, (1,), (0, 1, 2), 2)
@@ -182,6 +194,7 @@ class TestTextFormat:
             ("circuit 2\nexppauli 0.1 iZ\n", 2),
             ("circuit 2\n\nh 0\n", 3),
             ("circuit 2\ndense 1 1 1.0 0.0\n", 2),
+            ("circuit 2\nh 1\ndense 1 2 1 0 0 0 0 0 2 0\n", 3),
         ],
     )
     def test_parse_error_lines(self, text, line):

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from commsim.circuit import parse_circuit
@@ -175,6 +176,28 @@ class TestErrorsAndDeterminism:
             capsys, "oracle", path, "--obs", "Z1", "--max-amplitudes", "4"
         )
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_cap_is_usage_error(self, qc, capsys, value):
+        path = qc("c.qc", "circuit 3\nh 1\n")
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["oracle", path, "--obs", "Z1", "--max-amplitudes", value])
+        assert exc.value.code == 2
+        cap = capsys.readouterr()
+        assert not cap.out and "--max-amplitudes" in cap.err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_cap_env(self, qc, capsys, monkeypatch, value):
+        monkeypatch.setenv("COMMSIM_MAX_AMPLITUDES", value)
+        path = qc("c.qc", "circuit 3\nh 1\n")
+        code, out, err = run_cli(capsys, "oracle", path, "--obs", "Z1")
+        assert code == 1 and not out and "COMMSIM_MAX_AMPLITUDES" in err
+
+    def test_depth_overlap_needs_qubits(self, qc, capsys):
+        eye3 = " ".join(f"{v:.1f} 0.0" for v in np.eye(3).reshape(-1))
+        path = qc("u.qc", f"circuit 2 dim 3\ndense 1 1 {eye3}\n")
+        code, out, err = run_cli(capsys, "depth-overlap", path, "--seed", "1")
+        assert code == 1 and not out and "defined for qubits" in err
 
     def test_obs_matrix_shape_mismatch(self, qc, capsys):
         cpath = qc("c.qc", "circuit 2\nh 1\n")

@@ -7,17 +7,20 @@ import pytest
 from conftest import (
     commuting_pauli_exp_circuit,
     random_shallow_circuit,
+    random_unitary,
     shared_basis_diagonal_circuit,
 )
 
 from commsim.circuit import (
     Circuit,
+    DenseGate,
     NamedGate,
     check_pairwise_commuting,
 )
 from commsim.errors import LightconeTooLarge, NotCommuting, SizeMismatch
 from commsim.estimator import EstimatorConfig
 from commsim.oracle import circuit_unitary, matrix_element, run_circuit
+from commsim.pauli import PauliOperator
 from commsim.stabilizer import random_clifford_circuit
 from commsim.transformers import (
     DenseOracleExecutor,
@@ -25,6 +28,7 @@ from commsim.transformers import (
     estimate_cd_clifford_overlap,
     estimate_cd_overlap,
     hadamard_test,
+    _conjugate_through,
     p0_to_value,
     two_layer_merge,
 )
@@ -140,6 +144,32 @@ class TestExecutor:
         assert ex.run_counts(c, 100, rng) == 0
         assert ex.run_counts(Circuit(1, 2, []), 100, rng) == 100
 
+    def test_reused_executor_matches_fresh(self, rng):
+        g4 = [DenseGate(p, random_unitary(4, rng)) for p in [(0, 1), (2, 3), (1, 2), (0, 3)]]
+        g3 = [DenseGate(p, random_unitary(4, rng)) for p in [(0, 1), (1, 2)]]
+        circuits = [
+            Circuit(4, 2, g4),
+            Circuit(4, 2, g4[:2]),
+            Circuit(4, 2, g4[:2] + g4[3:]),
+            Circuit(3, 2, g3),
+            Circuit(4, 2, g4[:3]),
+            Circuit(4, 2, []),
+            Circuit(4, 2, g4[1:]),
+            Circuit(4, 2, g4),
+            Circuit(3, 2, g3[:1]),
+        ]
+        ex = DenseOracleExecutor()
+        for c in circuits:
+            assert ex._p_plus(c) == DenseOracleExecutor()._p_plus(c)
+
+    def test_saved_states_within_cap(self, rng):
+        gates = [DenseGate(p, random_unitary(4, rng)) for p in [(0, 1), (1, 2), (0, 2)] * 2]
+        ex = DenseOracleExecutor(cap=20)  # room for two saved 8-amplitude states
+        for k in (6, 4, 5, 2, 6):
+            c = Circuit(3, 2, gates[:k])
+            assert ex._p_plus(c) == pytest.approx(DenseOracleExecutor()._p_plus(c), abs=1e-14)
+            assert sum(s.amplitudes.size for _, s in ex._path) <= 20
+
 
 class TestOverlapEstimators:
     def test_identity_circuit_exact(self, rng):
@@ -186,6 +216,28 @@ class TestOverlapEstimators:
             if abs(res.value - want) > cfg.epsilon:
                 misses += 1
         assert misses == 0
+
+    def test_conjugation_follows_gate_order_within_a_layer(self, rng):
+        # overlapping gates with no layer separators form a single layer
+        gates = [DenseGate((0, 1), random_unitary(4, rng)), DenseGate((1, 2), random_unitary(4, rng))]
+        probs = [abs(matrix_element(Circuit(3, 2, gates), "000", y)) ** 2 for y in range(8)]
+        for sizes in (None, [1, 1]):
+            u = Circuit(3, 2, gates, layer_sizes=sizes)
+            for j in range(3):
+                _, m = _conjugate_through(u, PauliOperator(3, 0, 0, 1 << j), 3)
+                # <0|U^dag Z_j U|0> = sum_y |<y|U|0>|^2 (-1)^{y_j}, qubit 1 most significant
+                want = sum(p * (-1) ** ((y >> (2 - j)) & 1) for y, p in enumerate(probs))
+                assert m[0, 0].real == pytest.approx(want, abs=1e-12)
+
+    def test_estimators_need_qubits(self, rng):
+        u = Circuit(2, 3, [])
+        cfg = EstimatorConfig(k_override=2)
+        with pytest.raises(ValueError, match="defined for qubits"):
+            estimate_cd_overlap(u, cfg, DenseOracleExecutor(), rng)
+        with pytest.raises(ValueError, match="defined for qubits"):
+            estimate_cd_clifford_overlap(
+                u, random_clifford_circuit(2, 2, rng), cfg, DenseOracleExecutor(), rng
+            )
 
     def test_clifford_variant_size_check(self, rng):
         u = random_shallow_circuit(4, 1, rng)
