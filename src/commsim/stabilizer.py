@@ -1,19 +1,24 @@
 """Stabilizer-tableau engine.
 
 Clifford circuits are gate lists over {h, s, x, z, cnot, cz}.  One rule,
-``_conj_gate``, conjugates a Pauli by one gate with the Aaronson-Gottesman
-bit updates on the (t, a, b) normal form; :func:`conjugate_pauli` pushes a
-single Pauli through a circuit with it, and :class:`CliffordTableau` keeps
-the images of all X_k and Z_k for callers that conjugate many Paulis.
+``_conj_rows``, conjugates a list of Paulis through a gate list: it
+bit-slices the rows into per-qubit X/Z columns and two phase bit-planes,
+applies the Aaronson-Gottesman updates column-wise, and transposes back
+once.  :func:`conjugate_pauli` uses it for one Pauli,
+:class:`CliffordTableau` for the images of all X_k and Z_k, and
+:func:`diagonalize_commuting_set` and :func:`synthesize_prep` for their whole
+row sets.
 
 A stabilizer state is stored as its generator list plus a phased anchor
 amplitude, from which an affine-subspace form (support coset + exact phases)
 is derived lazily.  That form yields exact amplitudes, Born sampling, and the
 amplitude convention used across the package: the lexicographically least
-support element has a real positive coefficient.  The affine form and prep
-synthesis share one X-block elimination, ``_reduce_x_block``; basis labels
-are ints with bit k = qubit k, or digit strings read by
-:func:`oracle.parse_basis_label`.
+support element has a real positive coefficient.  :func:`evolve` moves the
+anchor through monomial gates and conjugates the generators only at each
+``h``, where one X-block elimination gives both the new anchor and the new
+state's affine form.  The affine form and prep synthesis share that
+elimination, ``_reduce_x_block``; basis labels are ints with bit k = qubit k,
+or digit strings read by :func:`oracle.parse_basis_label`.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ from .oracle import parse_basis_label
 from .pauli import _I4, PauliOperator, commutes, multiply
 
 CLIFFORD_GATES = {"h": 1, "s": 1, "x": 1, "z": 1, "cnot": 2, "cz": 2}
+# samples per random-bit draw in StabilizerState.sample_many
+_SAMPLE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -56,54 +63,96 @@ class CliffordCircuit:
         return len(self.gates)
 
     def inverse(self) -> "CliffordCircuit":
-        inv = []
-        for name, qs in reversed(self.gates):
-            if name == "s":
-                inv += [("s", qs)] * 3  # S^3 = S^dagger
-            else:
-                inv.append((name, qs))
-        return CliffordCircuit(self.n, tuple(inv))
-
-    def then(self, other: "CliffordCircuit") -> "CliffordCircuit":
-        if other.n != self.n:
-            raise SizeMismatch("circuits act on different registers")
-        return CliffordCircuit(self.n, self.gates + other.gates)
+        """The inverse circuit, built and validated once per circuit."""
+        inv = self.__dict__.get("_inverse")
+        if inv is None:
+            inv = CliffordCircuit(self.n, _inverse_gates(self.gates))
+            object.__setattr__(self, "_inverse", inv)  # gates are immutable
+        return inv
 
     def to_circuit(self) -> Circuit:
         return Circuit(self.n, 2, [NamedGate(name, qs) for name, qs in self.gates])
+
+
+def _inverse_gates(gates) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """Gates of the inverse circuit; a run of S on one qubit folds mod 4."""
+    inv: list[tuple[str, tuple[int, ...]]] = []
+    for name, qs in reversed(gates):
+        if name == "s":
+            run = 3  # S^dag = S^3
+            while inv and inv[-1] == ("s", qs):
+                inv.pop()
+                run += 1
+            inv += [("s", qs)] * (run % 4)  # S^4 = I
+        else:
+            inv.append((name, qs))
+    return tuple(inv)
 
 
 # ---------------------------------------------------------------------------
 # conjugation
 
 
-def _conj_gate(p: PauliOperator, name: str, qs: tuple[int, ...]) -> PauliOperator:
-    """Image ``g P g^dag`` for a single named Clifford gate.
+def _bits(v: int) -> list[int]:
+    """Set bit positions of v, ascending."""
+    out = []
+    while v:
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
+    return out
 
-    The Aaronson-Gottesman update rules act directly on the (t, a, b) form.
+
+def _conj_rows(rows: list[PauliOperator], gates) -> list[PauliOperator]:
+    """Images ``U P U^dag`` of every row, U the product of ``gates`` in order.
+
+    Bit-sliced Aaronson-Gottesman updates: bit i of xs[q] / zs[q] is the X / Z
+    bit of row i on qubit q, and t0 / t1 are the two bits of each row's phase
+    exponent, so one gate costs a few integer operations however many rows
+    ride along.  Python ints put no limit on the number of qubits or rows.
     """
-    t, a, b = p.t, p.a, p.b
-    q = qs[0]
-    x, z = (a >> q) & 1, (b >> q) & 1
-    if name == "h":  # X <-> Z, and XZ -> ZX = -XZ
-        t += 2 * (x & z)
-        a ^= (x ^ z) << q
-        b ^= (x ^ z) << q
-    elif name == "s":  # X -> Y = iXZ
-        t += x
-        b ^= x << q
-    elif name == "x":
-        t += 2 * z
-    elif name == "z":
-        t += 2 * x
-    elif name == "cnot":  # X_c -> X_c X_t, Z_t -> Z_c Z_t
-        a ^= x << qs[1]
-        b ^= ((b >> qs[1]) & 1) << q
-    else:  # cz: X_1 -> X_1 Z_2, X_2 -> Z_1 X_2
-        x2 = (a >> qs[1]) & 1
-        t += 2 * (x & x2)
-        b ^= (x << qs[1]) | (x2 << q)
-    return PauliOperator(p.n, t % 4, a, b)
+    if not rows:
+        return []
+    n = rows[0].n
+    xs, zs = [0] * n, [0] * n
+    t0 = t1 = 0
+    for i, p in enumerate(rows):
+        t0 |= (p.t & 1) << i
+        t1 |= (p.t >> 1) << i
+        for q in _bits(p.a):
+            xs[q] |= 1 << i
+        for q in _bits(p.b):
+            zs[q] |= 1 << i
+    for name, qs in gates:
+        q = qs[0]
+        if name == "h":  # X <-> Z, and Y -> -Y
+            t1 ^= xs[q] & zs[q]
+            xs[q], zs[q] = zs[q], xs[q]
+        elif name == "s":  # X -> Y = iXZ, Y -> -X
+            t1 ^= t0 & xs[q]
+            t0 ^= xs[q]
+            zs[q] ^= xs[q]
+        elif name == "x":
+            t1 ^= zs[q]
+        elif name == "z":
+            t1 ^= xs[q]
+        elif name == "cnot":  # X_c -> X_c X_t, Z_t -> Z_c Z_t
+            xs[qs[1]] ^= xs[q]
+            zs[q] ^= zs[qs[1]]
+        else:  # cz: X_1 -> X_1 Z_2, X_2 -> Z_1 X_2
+            t1 ^= xs[q] & xs[qs[1]]
+            zs[qs[1]] ^= xs[q]
+            zs[q] ^= xs[qs[1]]
+    a_out, b_out = [0] * len(rows), [0] * len(rows)
+    for q in range(n):
+        for i in _bits(xs[q]):
+            a_out[i] |= 1 << q
+        for i in _bits(zs[q]):
+            b_out[i] |= 1 << q
+    return [
+        PauliOperator(n, ((t0 >> i) & 1) | (((t1 >> i) & 1) << 1), a, b)
+        for i, (a, b) in enumerate(zip(a_out, b_out))
+    ]
 
 
 class CliffordTableau:
@@ -117,9 +166,8 @@ class CliffordTableau:
     @classmethod
     def from_circuit(cls, c: CliffordCircuit) -> "CliffordTableau":
         tab = cls(c.n)
-        for name, qs in c.gates:
-            tab.x_images = [_conj_gate(p, name, qs) for p in tab.x_images]
-            tab.z_images = [_conj_gate(p, name, qs) for p in tab.z_images]
+        images = _conj_rows(tab.x_images + tab.z_images, c.gates)
+        tab.x_images, tab.z_images = images[: c.n], images[c.n :]
         return tab
 
     def conjugate(self, p: PauliOperator) -> PauliOperator:
@@ -147,9 +195,7 @@ def conjugate_pauli(
         raise ValueError("direction must be 'forward' or 'inverse'")
     if p.n != c.n:
         raise SizeMismatch("Pauli width differs from circuit width")
-    for name, qs in (c if direction == "forward" else c.inverse()).gates:
-        p = _conj_gate(p, name, qs)
-    return p
+    return _conj_rows([p], (c if direction == "forward" else c.inverse()).gates)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +384,14 @@ class StabilizerState:
             raise ValueError("vectorized sampling supports n <= 64")
         ys = np.full(k, np.uint64(aff.y0), dtype=np.uint64)
         if aff.movers:
-            bits = rng.integers(0, 2, size=(k, len(aff.movers)), dtype=np.uint64)
-            for j, (g, _) in enumerate(aff.movers):
-                ys ^= bits[:, j] * np.uint64(g.a)
+            # row chunks draw the same generator stream as one (k, s) draw
+            for lo in range(0, k, _SAMPLE_CHUNK):
+                part = ys[lo : lo + _SAMPLE_CHUNK]
+                bits = rng.integers(
+                    0, 2, size=(len(part), len(aff.movers)), dtype=np.uint64
+                )
+                for j, (g, _) in enumerate(aff.movers):
+                    part ^= bits[:, j] * np.uint64(g.a)
         return ys
 
     def amplitudes_raw_many(self, ys: np.ndarray) -> np.ndarray:
@@ -397,39 +448,64 @@ def _monomial_action(name: str, qs: tuple[int, ...], y: int) -> tuple[int, int]:
 
 
 def evolve(x, c: CliffordCircuit) -> StabilizerState:
-    """``C|x>`` with the exact global phase tracked gate by gate."""
+    """``C|x>`` with the exact global phase tracked gate by gate.
+
+    Monomial gates only move the anchor and its phase; the generators are
+    conjugated at each ``h``, through the pending monomial gates and the
+    ``h`` in one pass, and at the end.  At an ``h`` on qubit q the new anchor
+    w is a support element of the new state, and its amplitude is
+    ``(<w0|phi> +- <w1|phi>) / sqrt 2`` with w0, w1 = w with bit q cleared,
+    set.  ``phi = M|prev>``, M the pending monomial gates and ``prev`` the
+    state left by the last ``h``, so ``<w|phi>`` is read from ``prev`` at w
+    pulled back through M.  The new state's affine form is the one computed
+    to find w, so each ``h`` costs one X-block elimination.
+    """
     n = c.n
     xv = _as_int_label(x, n)
     gens = [
         PauliOperator(n, 2 * ((xv >> k) & 1), 0, 1 << k) for k in range(n)
     ]
     state = StabilizerState(gens, anchor_y=xv, anchor_amp=1.0 + 0.0j, check=False)
+    anchor_y, anchor_amp = state.anchor_y, state.anchor_amp
+    pending: list[tuple[str, tuple[int, ...]]] = []
+
+    def pulled_back(w: int) -> complex:
+        """``<w|M|prev>``: x and cnot are involutions, s, z and cz phases."""
+        k = 0
+        for name, qs in reversed(pending):
+            dk, w = _monomial_action(name, qs, w)
+            k += dk
+        return _I4[k % 4] * state.amplitude_raw(w)
+
     for name, qs in c.gates:
-        new_gens = [_conj_gate(g, name, qs) for g in state.generators]
-        if name == "h":
-            q = qs[0]
-            w = _support_element(new_gens, n)
-            w0 = w & ~(1 << q)
-            w1 = w | (1 << q)
-            amp = (
-                state.amplitude_raw(w0)
-                + (-1.0 if (w >> q) & 1 else 1.0) * state.amplitude_raw(w1)
-            ) / math.sqrt(2.0)
-            state = StabilizerState(new_gens, anchor_y=w, anchor_amp=amp, check=False)
-        else:
-            k, y2 = _monomial_action(name, qs, state.anchor_y)
-            state = StabilizerState(
-                new_gens,
-                anchor_y=y2,
-                anchor_amp=_I4[k] * state.anchor_amp,
-                check=False,
-            )
+        if name != "h":
+            k, anchor_y = _monomial_action(name, qs, anchor_y)
+            anchor_amp = _I4[k] * anchor_amp
+            pending.append((name, qs))
+            continue
+        q = qs[0]
+        nxt = StabilizerState(
+            _conj_rows(state.generators, pending + [(name, qs)]),
+            anchor_y=0,
+            anchor_amp=1.0,
+            check=False,
+        )
+        w = nxt.affine_form().y_particular
+        anchor_amp = (
+            pulled_back(w & ~(1 << q))
+            + (-1.0 if (w >> q) & 1 else 1.0) * pulled_back(w | (1 << q))
+        ) / math.sqrt(2.0)
+        anchor_y = nxt.anchor_y = w
+        nxt.anchor_amp = anchor_amp
+        state, pending = nxt, []
+    if pending:
+        state = StabilizerState(
+            _conj_rows(state.generators, pending),
+            anchor_y=anchor_y,
+            anchor_amp=anchor_amp,
+            check=False,
+        )
     return state
-
-
-def _support_element(generators: list[PauliOperator], n: int) -> int:
-    probe = StabilizerState(generators, anchor_y=0, anchor_amp=1.0, check=False)
-    return probe.affine_form().y_particular
 
 
 # ---------------------------------------------------------------------------
@@ -487,27 +563,25 @@ def _swap_halves(r: int, n: int) -> int:
 
 
 def synthesize_prep(s: StabilizerState) -> CliffordCircuit:
-    """Clifford circuit c with evolve(0, c) stabilized by s's generator group."""
+    """Clifford circuit c with evolve(0, c) stabilized by s's generator group.
+
+    Each stage's gates are read off the rows first and conjugated through
+    them in one pass: a CNOT (q, j) changes only pivot row q's X bit j, and
+    the CZ and S gates read the pivot rows' Z parts, which no CZ of the
+    stage changes where a later gate reads them.
+    """
     n = s.n
     rows = list(s.generators)
-    applied: list[tuple[str, tuple[int, ...]]] = []
-
-    def conj_all(name: str, *qs: int):
-        nonlocal rows
-        applied.append((name, qs))
-        rows = [_conj_gate(g, name, qs) for g in rows]
-
     piv_of = _reduce_x_block(rows)
     pivots = list(piv_of)
     used = set(piv_of.values())
     # CNOTs: shrink each pivot row's X part to its pivot qubit
-    for q in pivots:
-        i = piv_of[q]
-        a = rows[i].a & ~(1 << q)
-        while a:
-            j = gf2.lowest_bit(a)
-            conj_all("cnot", q, j)
-            a = rows[i].a & ~(1 << q)
+    cnots = [
+        ("cnot", (q, j))
+        for q in pivots
+        for j in _bits(rows[piv_of[q]].a & ~(1 << q))
+    ]
+    rows = _conj_rows(rows, cnots)
     # Gauss-Jordan on the pure-Z rows: commutation keeps them off the pivot
     # columns, and they span the rest, so full reduction yields +-Z singletons.
     zrows = [i for i in range(n) if i not in used]
@@ -528,18 +602,17 @@ def synthesize_prep(s: StabilizerState) -> CliffordCircuit:
         for p, j in zindex.items():
             if (rows[i].b >> p) & 1:
                 rows[i] = multiply(rows[i], rows[j])
-    # CZ for symmetric off-diagonal pivot-column Z entries
-    for ii, q in enumerate(pivots):
-        for q2 in pivots[ii + 1 :]:
-            if (rows[piv_of[q]].b >> q2) & 1:
-                conj_all("cz", q, q2)
-    # S for diagonal Y entries
-    for q in pivots:
-        if (rows[piv_of[q]].b >> q) & 1:
-            conj_all("s", q)
-    # H turns the +-X rows into +-Z rows
-    for q in pivots:
-        conj_all("h", q)
+    # CZ for symmetric off-diagonal pivot-column Z entries, S for diagonal Y
+    # entries, then H turns the +-X rows into +-Z rows
+    rest = [
+        ("cz", (q, q2))
+        for ii, q in enumerate(pivots)
+        for q2 in pivots[ii + 1 :]
+        if (rows[piv_of[q]].b >> q2) & 1
+    ]
+    rest += [("s", (q,)) for q in pivots if (rows[piv_of[q]].b >> q) & 1]
+    rest += [("h", (q,)) for q in pivots]
+    rows = _conj_rows(rows, rest)
     # now every row is +-Z_k; read off the basis state
     v = 0
     for i in range(n):
@@ -548,8 +621,8 @@ def synthesize_prep(s: StabilizerState) -> CliffordCircuit:
             raise AssertionError("reduction did not reach +-Z form")
         if g.t == 2:
             v |= g.b
-    flips = CliffordCircuit(n, tuple(("x", (k,)) for k in range(n) if (v >> k) & 1))
-    return flips.then(CliffordCircuit(n, tuple(applied)).inverse())
+    flips = tuple(("x", (k,)) for k in _bits(v))
+    return CliffordCircuit(n, flips + _inverse_gates(cnots + rest))
 
 
 def diagonalize_commuting_set(
@@ -573,8 +646,7 @@ def diagonalize_commuting_set(
             [PauliOperator(n, 0, 0, 1 << k) for k in range(n)]
         )
     c = synthesize_prep(state)
-    inv_tab = CliffordTableau.from_circuit(c.inverse())
-    qs = [inv_tab.conjugate(p) for p in paulis]
+    qs = _conj_rows(paulis, c.inverse().gates)
     for i, q in enumerate(qs):
         if not q.is_z_type():
             raise AssertionError(f"image {i} is not Z-type; diagonalization bug")

@@ -8,6 +8,7 @@ from conftest import (
     state_from_packed_amplitudes,
 )
 
+from commsim import gf2
 from commsim.errors import (
     DependentInput,
     MinusIdentity,
@@ -40,6 +41,31 @@ def _random_pauli(n, rng):
 
 def _state_vector(s: StabilizerState) -> np.ndarray:
     return state_from_packed_amplitudes(s.amplitude_raw, s.n)
+
+
+def _random_wide_pauli(n, rng):
+    """Random Pauli at any n (``rng.integers`` stops at 64 bits)."""
+
+    def bits():
+        return int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
+
+    return PauliOperator(n, int(rng.integers(4)), bits(), bits())
+
+
+def _label(x, n):
+    return "".join(str((x >> k) & 1) for k in range(n))
+
+
+def _monomial_runs_circuit(n, n_h, rng):
+    """Three to eight random monomial gates before each of n_h ``h`` gates."""
+    pool = ["s", "x", "z"] + (["cnot", "cz"] if n > 1 else [])
+    gates = []
+    for _ in range(n_h):
+        for name in rng.choice(pool, size=int(rng.integers(3, 9))):
+            qs = rng.choice(n, size=2 if name in ("cnot", "cz") else 1, replace=False)
+            gates.append((str(name), tuple(int(q) for q in qs)))
+        gates.append(("h", (int(rng.integers(n)),)))
+    return CliffordCircuit(n, tuple(gates))
 
 
 class TestConjugation:
@@ -81,6 +107,16 @@ class TestConjugation:
         ui = circuit_unitary(c.inverse().to_circuit())
         assert np.allclose(ui @ u, np.eye(8), atol=1e-10)
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_inverse_folds_s_runs(self, k):
+        s0 = ("s", (0,))
+        c = CliffordCircuit(2, (s0,) * k + (("h", (1,)),) + (s0,) * (k + 1))
+        inv = c.inverse()
+        assert inv.gates == (s0,) * ((3 * k + 3) % 4) + (("h", (1,)),) + (s0,) * (3 * k % 4)
+        u = circuit_unitary(c.to_circuit())
+        ui = circuit_unitary(inv.to_circuit())
+        assert np.allclose(ui @ u, np.eye(4), atol=1e-12)
+
     def test_gate_validation(self):
         with pytest.raises(ValueError):
             CliffordCircuit(2, (("t", (0,)),))
@@ -88,6 +124,46 @@ class TestConjugation:
             CliffordCircuit(2, (("cnot", (0, 0)),))
         with pytest.raises(ValueError):
             CliffordCircuit(1, (("h", (1,)),))
+
+
+class TestConjugationBeyond64:
+    """Exact identities where a basis state no longer fits a machine word."""
+
+    @pytest.mark.parametrize("n", [100, 130])
+    def test_inverse_round_trip(self, n, rng):
+        c = random_clifford_circuit(n, 10 * n, rng)
+        for _ in range(5):
+            p = _random_wide_pauli(n, rng)
+            assert conjugate_pauli(c, conjugate_pauli(c, p), "inverse") == p
+
+    @pytest.mark.parametrize("n", [100, 130])
+    def test_tableau_matches_conjugate_pauli(self, n, rng):
+        c = random_clifford_circuit(n, 10 * n, rng)
+        tab = CliffordTableau.from_circuit(c)
+        for _ in range(5):
+            p = _random_wide_pauli(n, rng)
+            assert tab.conjugate(p) == conjugate_pauli(c, p)
+
+    @pytest.mark.parametrize("n", [100, 130])
+    def test_multiplicative(self, n, rng):
+        c = random_clifford_circuit(n, 10 * n, rng)
+        for _ in range(5):
+            p, q = _random_wide_pauli(n, rng), _random_wide_pauli(n, rng)
+            assert conjugate_pauli(c, multiply(p, q)) == multiply(
+                conjugate_pauli(c, p), conjugate_pauli(c, q)
+            )
+
+    def test_diagonalize_scrambled_family(self, rng):
+        n = 100
+        scramble = random_clifford_circuit(n, 10 * n, rng)
+        ps = []
+        for _ in range(n + 20):  # more members than qubits: some are dependent
+            z = _random_wide_pauli(n, rng)
+            ps.append(conjugate_pauli(scramble, PauliOperator(n, 2 * (z.t & 1), 0, z.b)))
+        c, qs = diagonalize_commuting_set(ps)
+        for p, q in zip(ps, qs):
+            assert q.is_z_type()
+            assert conjugate_pauli(c, q) == p
 
 
 class TestEvolve:
@@ -100,6 +176,34 @@ class TestEvolve:
             label = "".join(str((x >> k) & 1) for k in range(n))
             want = run_circuit(c.to_circuit(), label).amplitudes
             assert np.allclose(_state_vector(s), want, atol=1e-12)
+
+    def test_monomial_runs_between_h(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(1, 6))
+            c = _monomial_runs_circuit(n, 15, rng)
+            assert len(c) >= 60
+            x = int(rng.integers(1 << n))
+            want = run_circuit(c.to_circuit(), _label(x, n)).amplitudes
+            assert np.allclose(_state_vector(evolve(x, c)), want, atol=1e-12)
+
+    def test_consecutive_h(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(2, 6))
+            hs = tuple(("h", (int(q),)) for q in rng.integers(n, size=8))
+            c = CliffordCircuit(n, _monomial_runs_circuit(n, 2, rng).gates + hs)
+            x = int(rng.integers(1 << n))
+            want = run_circuit(c.to_circuit(), _label(x, n)).amplitudes
+            assert np.allclose(_state_vector(evolve(x, c)), want, atol=1e-12)
+
+    def test_inverse_of_prep(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(2, 6))
+            ps = random_commuting_paulis(n, n, rng)
+            keep = gf2.independent_indices([p.r for p in ps])
+            inv = synthesize_prep(complete_generators([ps[i] for i in keep])).inverse()
+            x = int(rng.integers(1 << n))
+            want = run_circuit(inv.to_circuit(), _label(x, n)).amplitudes
+            assert np.allclose(_state_vector(evolve(x, inv)), want, atol=1e-12)
 
     def test_string_input(self):
         s = evolve("10", CliffordCircuit(2))
