@@ -23,7 +23,7 @@ class DimensionMismatch(CommsimError):
 
 
 class CapacityExceeded(CommsimError):
-    """Statevector would exceed the configured amplitude cap."""
+    """A statevector would exceed the amplitude cap, or a register a fixed size limit."""
 
 
 class NotCommuting(CommsimError):

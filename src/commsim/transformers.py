@@ -22,21 +22,24 @@ from .circuit import (
     DenseGate,
     Gate,
     NamedGate,
+    _restrict_pauli,
     check_pairwise_commuting,
     embed_matrix,
     gate_matrix,
 )
-from .errors import LightconeTooLarge, NotCommuting, SizeMismatch
+from .errors import CapacityExceeded, LightconeTooLarge, NotCommuting, SizeMismatch
 from .estimator import EstimateResult, EstimatorConfig
 from .oracle import DEFAULT_CAP, StateVector, apply_gate, basis_state
 from .pauli import PauliOperator
-from .stabilizer import CliffordCircuit, CliffordTableau
+from .stabilizer import CliffordCircuit, _conj_rows
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _SDG = np.diag([1, -1j]).astype(complex)
 _HSDG = _H @ _SDG  # final ancilla rotation for the imaginary part
 
 DEFAULT_LIGHTCONE_BOUND = 8
+# the subset sampler draws each subset as one uint64 bit mask
+MAX_SUBSET_QUBITS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +270,10 @@ def _conjugate_through(u: Circuit, p: PauliOperator, bound: int):
     Returns (support tuple, matrix).  Gates outside the cone cancel between
     U and its adjoint, so only intersecting gates are applied.
     """
-    sup = tuple(sorted(q for q in range(u.n) if ((p.a | p.b) >> q) & 1))
-    from .circuit import _restrict_pauli
-
-    m = _restrict_pauli(p).to_matrix() if sup else p.to_matrix()
+    sup = tuple(q for q in range(u.n) if ((p.a | p.b) >> q) & 1)
     if not sup:
         raise ValueError("identity observable has no pivot")
+    m = _restrict_pauli(p).to_matrix()
     # U = G_m ... G_1, so U^dag P U conjugates by the last gate first
     for g in reversed(u.gates):
         if not set(g.support) & set(sup):
@@ -304,6 +305,10 @@ def _subset_plan(n: int, cfg: EstimatorConfig, rng: np.random.Generator):
 def _require_qubits(u: Circuit):
     if u.d != 2:
         raise ValueError("the overlap estimators are defined for qubits")
+    if u.n > MAX_SUBSET_QUBITS:
+        raise CapacityExceeded(
+            f"the subset sampler supports at most {MAX_SUBSET_QUBITS} qubits, got {u.n}"
+        )
 
 
 def estimate_cd_overlap(
@@ -372,13 +377,14 @@ def estimate_cd_clifford_overlap(
     Each sampled subset S turns C^dag Z(S) C = i^t X^a Z^b into two
     internally-commuting layers of conjugated single-qubit Paulis, merged
     into one ancilla test; the exact phase i^t picks the Re or Im variant.
+    A merged gate depends only on its support, the X and Z bits of the image
+    there and whether it closes an Im test, so each is built once per call.
     """
     t0 = time.perf_counter()
     _require_qubits(u)
     n = u.n
     if c.n != n:
         raise SizeMismatch("Clifford and circuit act on different registers")
-    inv_tab = CliffordTableau.from_circuit(c.inverse())
     conj_x = [
         DenseGate(*_conjugate_through(u, PauliOperator(n, 0, 1 << k, 0), lightcone_bound))
         for k in range(n)
@@ -388,16 +394,52 @@ def estimate_cd_clifford_overlap(
         for k in range(n)
     ]
     masks, counts, k_sub, shots_per = _subset_plan(n, cfg, rng)
+    # C^dag Z_j C for every qubit j, then C^dag Z(S) C = i^t X^a Z^b per mask
+    rows = [PauliOperator(n, 0, 0, 1 << j) for j in range(n)]
+    rows += [PauliOperator(n, 0, 0, m) for m in masks.tolist()]
+    images = _conj_rows(rows, c.inverse().gates)
+    # conjugated gates grouped by support, as bit masks of their X and Z qubits
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k in range(n):
+        groups.setdefault(conj_x[k].support, [0, 0])[0] |= 1 << k
+        groups.setdefault(conj_z[k].support, [0, 0])[1] |= 1 << k
+
+    def lowest_bit_touching(group) -> int:
+        xm, zm = group[1]
+        return min(
+            (j for j in range(n) if images[j].a & xm or images[j].b & zm), default=n
+        )
+
+    # a group's gate depends only on the mask bits whose image touches it;
+    # groups that depend on high bits only go first, so consecutive sorted
+    # masks share a leading run of gates that the executor can reuse
+    order = sorted(groups.items(), key=lowest_bit_touching, reverse=True)
+    merged: dict[tuple, Gate] = {}
+
+    def merged_gate(sup: tuple[int, ...], a: int, b: int, closing: bool) -> Gate:
+        key = (sup, a, b, closing)
+        if key not in merged:
+            layer1 = Circuit(n, 2, [conj_x[k] for k in range(n) if (a >> k) & 1])
+            layer2 = Circuit(n, 2, [conj_z[k] for k in range(n) if (b >> k) & 1])
+            part = "imag" if closing else "real"
+            merged[key] = two_layer_merge(layer1, layer2, part, check=False).gates[0]
+        return merged[key]
+
     total = 0.0
-    for mask, count in zip(masks.tolist(), counts.tolist()):
-        zs = PauliOperator(n, 0, 0, int(mask))
-        p = inv_tab.conjugate(zs)  # C^dag Z(S) C = i^t X^a Z^b
-        layer1 = Circuit(n, 2, [conj_x[k] for k in range(n) if (p.a >> k) & 1])
-        layer2 = Circuit(n, 2, [conj_z[k] for k in range(n) if (p.b >> k) & 1])
+    for p, count in zip(images[n:], counts.tolist()):
+        # the merged gates commute, so any of them may close the Im test
+        present = [
+            (sup, p.a & xm, p.b & zm) for sup, (xm, zm) in order if p.a & xm or p.b & zm
+        ]
+        present = present or [((), 0, 0)]  # empty subset: bare ancilla, F = 1
+        last = len(present) - 1
+        gates = [
+            merged_gate(sup, a, b, p.t % 2 == 1 and i == last)
+            for i, (sup, a, b) in enumerate(present)
+        ]
+        test = Circuit(n + 1, 2, gates)
         # Re(i^t w) = +-Re w (t even) or -+Im w (t odd)
-        part = "real" if p.t % 2 == 0 else "imag"
         sign = {0: 1.0, 1: -1.0, 2: -1.0, 3: 1.0}[p.t]
-        test = two_layer_merge(layer1, layer2, part, check=False)
         shots = shots_per * int(count)
         p0 = executor.run_counts(test, shots, rng) / shots
         total += sign * p0_to_value(p0) * int(count)

@@ -199,6 +199,11 @@ class TestErrorsAndDeterminism:
         code, out, err = run_cli(capsys, "depth-overlap", path, "--seed", "1")
         assert code == 1 and not out and "defined for qubits" in err
 
+    def test_depth_overlap_qubit_limit(self, qc, capsys):
+        path = qc("u.qc", "circuit 70\nh 1\n")
+        code, out, err = run_cli(capsys, "depth-overlap", path, "--seed", "1")
+        assert code == 1 and not out and "at most 64 qubits" in err
+
     def test_obs_matrix_shape_mismatch(self, qc, capsys):
         cpath = qc("c.qc", "circuit 2\nh 1\n")
         opath = qc("m.mat", "1 0 0 0 0 0\n0 0 1 0 0 0\n0 0 0 0 1 0\n")

@@ -17,11 +17,12 @@ from commsim.circuit import (
     NamedGate,
     check_pairwise_commuting,
 )
-from commsim.errors import LightconeTooLarge, NotCommuting, SizeMismatch
+from commsim import transformers
+from commsim.errors import CapacityExceeded, LightconeTooLarge, NotCommuting, SizeMismatch
 from commsim.estimator import EstimatorConfig
 from commsim.oracle import circuit_unitary, matrix_element, run_circuit
 from commsim.pauli import PauliOperator
-from commsim.stabilizer import random_clifford_circuit
+from commsim.stabilizer import conjugate_pauli, random_clifford_circuit
 from commsim.transformers import (
     DenseOracleExecutor,
     alternate_hadamard_test,
@@ -29,6 +30,7 @@ from commsim.transformers import (
     estimate_cd_overlap,
     hadamard_test,
     _conjugate_through,
+    _subset_plan,
     p0_to_value,
     two_layer_merge,
 )
@@ -42,6 +44,18 @@ def _p0(test: Circuit) -> float:
 
 def _overlap(c: Circuit) -> complex:
     return matrix_element(c, "0" * c.n, "0" * c.n)
+
+
+class _RecordingExecutor(DenseOracleExecutor):
+    """Dense executor that keeps every circuit it runs."""
+
+    def __init__(self):
+        super().__init__()
+        self.tests: list[Circuit] = []
+
+    def run_counts(self, c, shots, rng):
+        self.tests.append(c)
+        return super().run_counts(c, shots, rng)
 
 
 class TestHadamardTest:
@@ -238,6 +252,89 @@ class TestOverlapEstimators:
             estimate_cd_clifford_overlap(
                 u, random_clifford_circuit(2, 2, rng), cfg, DenseOracleExecutor(), rng
             )
+
+    def test_estimators_limit_qubits(self, rng):
+        u = Circuit(70, 2, [NamedGate("h", (0,))])
+        cfg = EstimatorConfig(k_override=2)
+        with pytest.raises(CapacityExceeded, match="at most 64 qubits"):
+            estimate_cd_overlap(u, cfg, DenseOracleExecutor(), rng)
+        with pytest.raises(CapacityExceeded, match="at most 64 qubits"):
+            estimate_cd_clifford_overlap(
+                u, random_clifford_circuit(70, 2, rng), cfg, DenseOracleExecutor(), rng
+            )
+
+    def test_identity_observable_raises_before_any_matrix(self):
+        # a 2^40-dimensional identity would not fit in memory
+        with pytest.raises(ValueError, match="no pivot"):
+            _conjugate_through(Circuit(40, 2, []), PauliOperator.identity(40), 8)
+
+    @pytest.mark.parametrize(
+        "seed,n,plain,clifford",
+        [
+            (61, 5, 0.0399862258953168, -0.009063360881542708),
+            (62, 6, 0.046129476584022035, 0.009173553719008277),
+        ],
+    )
+    def test_raw_values_pinned(self, seed, n, plain, clifford):
+        # any change of gate order or rng use shows up here as a changed count
+        rng = np.random.default_rng(seed)
+        u = random_shallow_circuit(n, 2, rng)
+        c = random_clifford_circuit(n, 4 * n, rng)
+        cfg = EstimatorConfig(epsilon=0.2, delta=0.1, k_override=48)
+        a = estimate_cd_overlap(u, cfg, DenseOracleExecutor(), np.random.default_rng(seed + 100))
+        b = estimate_cd_clifford_overlap(
+            u, c, cfg, DenseOracleExecutor(), np.random.default_rng(seed + 100)
+        )
+        assert a.raw_value == pytest.approx(plain, abs=1e-12)
+        assert b.raw_value == pytest.approx(clifford, abs=1e-12)
+
+    def test_clifford_variant_builds_each_merged_gate_once(self, monkeypatch):
+        n = 6
+        rng = np.random.default_rng(3)  # half the images C^dag Z(S) C have odd phase
+        u = random_shallow_circuit(n, 2, rng)
+        c = random_clifford_circuit(n, 4 * n, rng)
+        cfg = EstimatorConfig(epsilon=0.2, delta=0.1, k_override=200)
+        merges = []
+
+        def counting_merge(*args, **kwargs):
+            merges.append(args)
+            return two_layer_merge(*args, **kwargs)
+
+        monkeypatch.setattr(transformers, "two_layer_merge", counting_merge)
+        ex = _RecordingExecutor()
+        estimate_cd_clifford_overlap(u, c, cfg, ex, np.random.default_rng(5))
+        monkeypatch.undo()
+        masks = _subset_plan(n, cfg, np.random.default_rng(5))[0].tolist()
+        assert len(ex.tests) == len(masks)
+        cx = [_conjugate_through(u, PauliOperator(n, 0, 1 << k, 0), 8) for k in range(n)]
+        cz = [_conjugate_through(u, PauliOperator(n, 0, 0, 1 << k), 8) for k in range(n)]
+        keys, parts = set(), set()
+        for test, mask in zip(ex.tests, masks):
+            p = conjugate_pauli(c, PauliOperator(n, 0, 0, mask), "inverse")
+            part = "real" if p.t % 2 == 0 else "imag"
+            parts.add(part)
+            layer1 = Circuit(n, 2, [DenseGate(*cx[k]) for k in range(n) if (p.a >> k) & 1])
+            layer2 = Circuit(n, 2, [DenseGate(*cz[k]) for k in range(n) if (p.b >> k) & 1])
+            assert _p0(test) == pytest.approx(_p0(two_layer_merge(layer1, layer2, part)), abs=1e-12)
+            for i, g in enumerate(test.gates):
+                sup = tuple(q - 1 for q in g.support[1:])
+                a = sum(1 << k for k in range(n) if (p.a >> k) & 1 and cx[k][0] == sup)
+                b = sum(1 << k for k in range(n) if (p.b >> k) & 1 and cz[k][0] == sup)
+                closing = part == "imag" and i == len(test.gates) - 1
+                keys.add((sup, a, b, closing))
+                # an Im test ends with its closing gate; every other gate is a Re gate
+                want = two_layer_merge(
+                    Circuit(n, 2, [DenseGate(*cx[k]) for k in range(n) if (a >> k) & 1]),
+                    Circuit(n, 2, [DenseGate(*cz[k]) for k in range(n) if (b >> k) & 1]),
+                    "imag" if closing else "real",
+                ).gates[0]
+                assert g.support == want.support
+                assert np.allclose(g.matrix, want.matrix, atol=1e-12)
+        assert parts == {"real", "imag"}
+        total = sum(len(t.gates) for t in ex.tests)
+        distinct = {id(g) for t in ex.tests for g in t.gates}
+        assert len(merges) == len(distinct) <= len(keys)
+        assert 5 * len(keys) < total
 
     def test_clifford_variant_size_check(self, rng):
         u = random_shallow_circuit(4, 1, rng)
