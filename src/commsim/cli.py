@@ -406,6 +406,8 @@ def dispatch(argv: list[str] | None = None) -> int:
     if hasattr(args, "epsilon"):
         try:
             args.cfg = EstimatorConfig(epsilon=args.epsilon, delta=args.delta)
+            if args.shots is None:
+                args.cfg.k  # without --shots, the derived K must be a usable count
         except ValueError as exc:
             parser.error(str(exc))
     try:

@@ -23,6 +23,21 @@ from .pauli import _I4, PauliOperator
 from .stabilizer import StabilizerState
 
 MODULUS_TOL = 1e-12
+# largest sample count numpy's samplers take
+_MAX_SAMPLES = np.iinfo(np.int64).max
+
+
+def hoeffding_count(scale: float, epsilon: float) -> int:
+    """``ceil(scale / epsilon^2)``; ValueError when that is no int64 count.
+
+    A tiny epsilon underflows epsilon^2 to zero or the quotient to inf.
+    """
+    k = scale / epsilon**2 if epsilon**2 > 0 else math.inf
+    if not k <= _MAX_SAMPLES:
+        raise ValueError(
+            f"epsilon={epsilon!r} needs {k:.3g} samples, more than {_MAX_SAMPLES}"
+        )
+    return math.ceil(k)
 
 
 @dataclass(frozen=True)
@@ -47,7 +62,7 @@ class EstimatorConfig:
         """Hoeffding sample count ceil(4 ln(2/delta) / epsilon^2)."""
         if self.k_override is not None:
             return self.k_override
-        return math.ceil(4.0 * math.log(2.0 / self.delta) / self.epsilon**2)
+        return hoeffding_count(4.0 * math.log(2.0 / self.delta), self.epsilon)
 
 
 @dataclass

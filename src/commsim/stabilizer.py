@@ -13,7 +13,13 @@ A stabilizer state is stored as its generator list plus a phased anchor
 amplitude, from which an affine-subspace form (support coset + exact phases)
 is derived lazily.  That form yields exact amplitudes, Born sampling, and the
 amplitude convention used across the package: the lexicographically least
-support element has a real positive coefficient.  :func:`evolve` moves the
+support element has a real positive coefficient.  The vectorized sampler and
+amplitude kernel (n <= 64) read the form through 256-entry byte tables built
+once per form: a sample XORs one table entry per byte of its random mover
+coordinates into y0, and an amplitude gathers the mover coordinates x of
+``y ^ anchor`` byte by byte, checks membership as ``span(x) == y ^ anchor``
+and reads the phase as a linear plus quadratic form in x (the affine form
+of Dehaene and De Moor, quant-ph/0304125).  :func:`evolve` moves the
 anchor through monomial gates and conjugates the generators only at each
 ``h``, where one X-block elimination gives both the new anchor and the new
 state's affine form.  The affine form and prep synthesis share that
@@ -41,8 +47,8 @@ from .oracle import parse_basis_label
 from .pauli import _I4, PauliOperator, commutes, multiply
 
 CLIFFORD_GATES = {"h": 1, "s": 1, "x": 1, "z": 1, "cnot": 2, "cz": 2}
-# samples per random-bit draw in StabilizerState.sample_many
-_SAMPLE_CHUNK = 1024
+# random bits per draw in StabilizerState.sample_many
+_SAMPLE_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -216,20 +222,30 @@ def _reduce_x_block(rows: list[PauliOperator]) -> dict[int, int]:
 
     Pivot qubits come in ascending order, each pivot row is the only row with
     an X on its pivot qubit, and the rows without a pivot end with no X part.
+    Bit i of col[q] is row i's X bit on qubit q, so each pivot is the lowest
+    unused row in one mask, and clearing a column XORs the cleared rows into
+    the columns of the pivot row's X part.
     """
+    col = [0] * rows[0].n
+    for i, g in enumerate(rows):
+        for q in _bits(g.a):
+            col[q] |= 1 << i
     piv_of: dict[int, int] = {}
-    used: set[int] = set()
-    for q in range(rows[0].n):
-        hit = next(
-            (i for i, g in enumerate(rows) if i not in used and (g.a >> q) & 1), None
-        )
-        if hit is None:
+    used = 0
+    for q, c in enumerate(col):
+        free = c & ~used
+        if not free:
             continue
+        hit = gf2.lowest_bit(free)
         piv_of[q] = hit
-        used.add(hit)
-        for i, g in enumerate(rows):
-            if i != hit and (g.a >> q) & 1:
-                rows[i] = multiply(g, rows[hit])
+        used |= 1 << hit
+        clear = c & ~(1 << hit)
+        if clear:
+            pivot = rows[hit]
+            for i in _bits(clear):
+                rows[i] = multiply(rows[i], pivot)
+            for q2 in _bits(pivot.a):
+                col[q2] ^= clear
     return piv_of
 
 
@@ -240,10 +256,97 @@ class _AffineForm:
     y_particular: int
     y0: int  # lexicographically least support element
     min_basis: dict[int, int]
+    tables: _ByteTables | None = None  # built on first vectorized use
 
     @property
     def s(self) -> int:
         return len(self.movers)
+
+
+def _byte_table(vals: list[int]) -> np.ndarray:
+    """Row u, entry b: the XOR of vals[8u + p] over the set bits p of b.
+
+    There is at least one row, so an empty ``vals`` maps every byte to 0.
+    """
+    v = np.zeros((max(1, -(-len(vals) // 8)), 8), dtype=np.uint64)
+    v.flat[: len(vals)] = vals
+    tab = np.zeros((len(v), 256), dtype=np.uint64)
+    for p in range(8):
+        tab[:, 1 << p : 2 << p] = tab[:, : 1 << p] ^ v[:, p : p + 1]
+    return tab
+
+
+def _word_bytes(words: np.ndarray) -> np.ndarray:
+    """(k, 8) view of k uint64 words; column u holds bits 8u .. 8u + 7."""
+    return np.asarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8)
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Bytes of each row's bit vector, bit j = ``bits[i, j]`` in {0, 1}.
+
+    Eight 0/1 bytes read as one little-endian word w pack into the top byte
+    of ``w * 0x0102040810204080``: byte p lands on bit 56 + p, and no other
+    partial product reaches the top byte or carries into it.
+    """
+    rows, s = bits.shape
+    lo = np.zeros((rows, 8 * -(-s // 8)), dtype=np.uint8)
+    lo[:, :s] = bits
+    return ((lo.view("<u8") * np.uint64(0x0102040810204080)) >> np.uint64(56)).astype(
+        np.uint8
+    )
+
+
+def _xor_lookup(tab: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """XOR over the rows u of ``tab`` of ``tab[u, by[:, u]]``."""
+    out = tab[0].take(by[:, 0])
+    for u in range(1, len(tab)):
+        out ^= tab[u].take(by[:, u])
+    return out
+
+
+@dataclass
+class _ByteTables:
+    """Byte tables of an affine form: row u maps byte u of a word to a word.
+
+    Let v = y ^ anchor and x its pivot coordinates (bit j = v's bit on mover
+    j's pivot).  y is in the support iff v is the XOR of the movers' X parts
+    a_j over x, and then ``<y|psi> = i^k <anchor|psi>`` for the product of
+    those movers in order, as in :meth:`StabilizerState.amplitude_raw`:
+
+        k = sum_j x_j l_j + 2 sum_{i<j} x_i x_j parity(b_i & a_j)   (mod 4)
+        l_j = t_j + 2 parity(b_j & anchor).
+
+    The low bits of the l_j add up mod 4, and their high bits are the
+    diagonal of the quadratic form, so
+    ``k = popcount(x & odd) + 2 parity(x & (rows(x) ^ high))`` with rows(x)
+    the XOR over x of R_i = {j > i : parity(b_i & a_j) = 1}.  Only ``high``
+    depends on the anchor; it is computed per call, not tabulated.
+    """
+
+    gather: np.ndarray  # byte of v -> its pivot bits, as bits of x
+    span: np.ndarray  # byte of x -> XOR of its movers' X parts
+    rows: np.ndarray  # byte of x -> XOR of its movers' R_i
+    odd: int  # bit j = t_j & 1
+    high: int  # bit j = t_j >> 1
+    zparts: list[int]  # b_j, for the anchor's share of ``high``
+
+    @classmethod
+    def build(cls, n: int, movers: list[tuple[PauliOperator, int]]) -> "_ByteTables":
+        coord = [0] * n
+        for j, (_, piv) in enumerate(movers):
+            coord[piv] = 1 << j
+        rows = [
+            sum(((g.b & h.a).bit_count() & 1) << j for j, (h, _) in enumerate(movers) if j > i)
+            for i, (g, _) in enumerate(movers)
+        ]
+        return cls(
+            gather=_byte_table(coord),
+            span=_byte_table([g.a for g, _ in movers]),
+            rows=_byte_table(rows),
+            odd=sum((g.t & 1) << j for j, (g, _) in enumerate(movers)),
+            high=sum((g.t >> 1) << j for j, (g, _) in enumerate(movers)),
+            zparts=[g.b for g, _ in movers],
+        )
 
 
 class StabilizerState:
@@ -377,52 +480,44 @@ class StabilizerState:
                     y ^= g.a
         return y
 
+    def _tables(self) -> _ByteTables:
+        if self.n > 64:
+            raise ValueError("vectorized sampling and amplitudes support n <= 64")
+        aff = self.affine_form()
+        if aff.tables is None:
+            aff.tables = _ByteTables.build(self.n, aff.movers)
+        return aff.tables
+
     def sample_many(self, k: int, rng: np.random.Generator) -> np.ndarray:
         """k uniform support samples as a uint64 array (requires n <= 64)."""
+        tab = self._tables()
         aff = self.affine_form()
-        if self.n > 64:
-            raise ValueError("vectorized sampling supports n <= 64")
         ys = np.full(k, np.uint64(aff.y0), dtype=np.uint64)
         if aff.movers:
             # row chunks draw the same generator stream as one (k, s) draw
-            for lo in range(0, k, _SAMPLE_CHUNK):
-                part = ys[lo : lo + _SAMPLE_CHUNK]
-                bits = rng.integers(
-                    0, 2, size=(len(part), len(aff.movers)), dtype=np.uint64
-                )
-                for j, (g, _) in enumerate(aff.movers):
-                    part ^= bits[:, j] * np.uint64(g.a)
+            step = _SAMPLE_BITS // aff.s
+            for lo in range(0, k, step):
+                part = ys[lo : lo + step]
+                bits = rng.integers(0, 2, size=(len(part), aff.s), dtype=np.uint64)
+                part ^= _xor_lookup(tab.span, _pack_rows(bits))
         return ys
 
     def amplitudes_raw_many(self, ys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`amplitude_raw` for uint64 samples (n <= 64)."""
-        aff = self.affine_form()
-        if self.n > 64:
-            raise ValueError("vectorized amplitudes support n <= 64")
-        ys = ys.astype(np.uint64)
-        ok = np.ones(ys.shape, dtype=bool)
-        for h in aff.zcons:
-            rhs = 0 if h.t == 0 else 1
-            par = _popcount64(ys & np.uint64(h.b)) & 1
-            ok &= par == rhs
-        v = ys ^ np.uint64(self.anchor_y)
-        t_run = np.zeros(ys.shape, dtype=np.int64)
-        b_run = np.zeros(ys.shape, dtype=np.uint64)
-        a_run = np.zeros(ys.shape, dtype=np.uint64)
-        for g, piv in aff.movers:
-            sel = ((v >> np.uint64(piv)) & np.uint64(1)).astype(bool)
-            cross = _popcount64(b_run & np.uint64(g.a)) & 1
-            t_run = np.where(sel, t_run + g.t + 2 * cross, t_run)
-            b_run = np.where(sel, b_run ^ np.uint64(g.b), b_run)
-            a_run = np.where(sel, a_run ^ np.uint64(g.a), a_run)
-        ok &= a_run == v
-        k = (t_run + 2 * (_popcount64(b_run & np.uint64(self.anchor_y)) & 1)) % 4
-        phases = np.array(_I4)[k]
-        return np.where(ok, phases * self.anchor_amp, 0.0 + 0.0j)
-
-
-def _popcount64(x: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(x).astype(np.int64)
+        """Vectorized :meth:`amplitude_raw` for a 1-D uint64 array (n <= 64)."""
+        tab = self._tables()
+        anchor = self.anchor_y
+        v = np.asarray(ys, dtype=np.uint64) ^ np.uint64(anchor)
+        if not self.in_support(anchor):  # no support element is reached from it
+            return np.zeros(v.shape, dtype=complex)
+        x = _xor_lookup(tab.gather, _word_bytes(v))
+        xb = _word_bytes(x)
+        ok = _xor_lookup(tab.span, xb) == v
+        high = tab.high ^ sum(
+            ((b & anchor).bit_count() & 1) << j for j, b in enumerate(tab.zparts)
+        )
+        quad = _xor_lookup(tab.rows, xb) ^ np.uint64(high)
+        k = (np.bitwise_count(x & np.uint64(tab.odd)) + 2 * np.bitwise_count(x & quad)) & 3
+        return np.where(ok, (np.array(_I4) * self.anchor_amp).take(k), 0.0 + 0.0j)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +636,15 @@ def complete_generators(indep: list[PauliOperator], n: int | None = None) -> Sta
     rows = [p.r for p in indep]
     if len(gf2.independent_indices(rows)) != len(rows):
         raise DependentInput("input operators are dependent over GF(2)")
+    return _complete(indep, n)
+
+
+def _complete(indep: list[PauliOperator], n: int) -> StabilizerState:
+    """:func:`complete_generators` for an input already known to be valid.
+
+    Each added generator is Hermitian, commutes with every earlier one and
+    lies outside their span, so the state needs no check of its own.
+    """
     gens = list(indep)
     while len(gens) < n:
         # symplectic orthogonality: v commutes with w iff parity(v & swap(w)) = 0
@@ -554,7 +658,7 @@ def complete_generators(indep: list[PauliOperator], n: int | None = None) -> Sta
                 break
         else:
             raise AssertionError("isotropic extension failed")
-    return StabilizerState(gens)
+    return StabilizerState(gens, check=False)
 
 
 def _swap_halves(r: int, n: int) -> int:
@@ -631,7 +735,8 @@ def diagonalize_commuting_set(
     """Clifford c and Z-type images q_i with ``c^dag P_i c = q_i``.
 
     Dependent inputs are filtered before completion, then conjugated
-    directly, so their signed Z-type images come out exact.
+    directly, so their signed Z-type images come out exact.  Commutation is
+    checked once, here, on the whole input.
     """
     if not paulis:
         raise ValueError("need at least one Pauli operator")
@@ -640,7 +745,7 @@ def diagonalize_commuting_set(
     keep = gf2.independent_indices([p.r for p in paulis])
     indep = [paulis[i] for i in keep if paulis[i].r != 0]
     if indep:
-        state = complete_generators(indep)
+        state = _complete(indep, n)
     else:
         state = StabilizerState(
             [PauliOperator(n, 0, 0, 1 << k) for k in range(n)]

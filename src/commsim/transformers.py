@@ -28,7 +28,7 @@ from .circuit import (
     gate_matrix,
 )
 from .errors import CapacityExceeded, LightconeTooLarge, NotCommuting, SizeMismatch
-from .estimator import EstimateResult, EstimatorConfig
+from .estimator import EstimateResult, EstimatorConfig, hoeffding_count
 from .oracle import DEFAULT_CAP, StateVector, apply_gate, basis_state
 from .pauli import PauliOperator
 from .stabilizer import CliffordCircuit, _conj_rows
@@ -292,13 +292,14 @@ def _conjugate_through(u: Circuit, p: PauliOperator, bound: int):
 
 def _subset_plan(n: int, cfg: EstimatorConfig, rng: np.random.Generator):
     """Uniform subset draws, merged by distinct subset, plus the shot budget."""
-    k_sub = math.ceil(16.0 * math.log(4.0 / cfg.delta) / cfg.epsilon**2)
     if cfg.k_override is not None:
         k_sub = cfg.k_override
+    else:
+        k_sub = hoeffding_count(16.0 * math.log(4.0 / cfg.delta), cfg.epsilon)
     draws = rng.integers(0, 1 << n, size=k_sub, dtype=np.uint64)
     masks, counts = np.unique(draws, return_counts=True)
     delta_term = cfg.delta / (2.0 * k_sub)
-    shots_per = math.ceil(16.0 * math.log(2.0 / delta_term) / cfg.epsilon**2)
+    shots_per = hoeffding_count(16.0 * math.log(2.0 / delta_term), cfg.epsilon)
     return masks, counts, k_sub, shots_per
 
 

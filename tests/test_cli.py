@@ -220,6 +220,33 @@ class TestErrorsAndDeterminism:
         cap = capsys.readouterr()
         assert not cap.out and "must be in" in cap.err
 
+    @pytest.mark.parametrize("command", ["paulisim", "depth-overlap"])
+    @pytest.mark.parametrize("eps", ["1e-300", "1e-160", "1e-100"])
+    def test_tiny_epsilon_is_usage_error(self, qc, capsys, command, eps):
+        # epsilon^2 underflows to 0 (1e-300), the count to inf (1e-160), or
+        # the count is finite but too large for a sampler (1e-100)
+        path = qc("c.qc", XROT if command == "paulisim" else "circuit 2\ncnot 1 2\n")
+        extra = ["--qubit", "1"] if command == "paulisim" else []
+        with pytest.raises(SystemExit) as exc:
+            dispatch([command, path, *extra, "--seed", "1", "--epsilon", eps])
+        assert exc.value.code == 2
+        cap = capsys.readouterr()
+        assert not cap.out and f"epsilon={float(eps)!r} needs" in cap.err
+
+    def test_tiny_epsilon_with_shots(self, qc, capsys):
+        path = qc("c.qc", XROT)
+        args = ["paulisim", path, "--qubit", "1", "--seed", "3", "--epsilon", "1e-300"]
+        code, out, _ = run_cli(capsys, *args, "--shots", "200")
+        assert code == 0
+        obj = jline(out)
+        assert obj["K"] == 200 and obj["epsilon"] == 1e-300
+        assert abs(obj["value"] - math.cos(1.2)) < 0.3
+        # the overlap estimator still sizes its shots per subset from epsilon
+        path = qc("d.qc", "circuit 2\ncnot 1 2\n")
+        args = ["depth-overlap", path, "--seed", "3", "--epsilon", "1e-300"]
+        code, out, err = run_cli(capsys, *args, "--shots", "5")
+        assert code == 1 and not out and "epsilon=1e-300 needs inf samples" in err
+
     def test_usage_error_exit_2(self, qc, capsys):
         with pytest.raises(SystemExit) as exc:
             dispatch(["no-such-command"])

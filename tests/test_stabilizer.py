@@ -8,7 +8,7 @@ from conftest import (
     state_from_packed_amplitudes,
 )
 
-from commsim import gf2
+from commsim import gf2, stabilizer
 from commsim.errors import (
     DependentInput,
     MinusIdentity,
@@ -21,6 +21,7 @@ from commsim.stabilizer import (
     CliffordCircuit,
     CliffordTableau,
     StabilizerState,
+    _reduce_x_block,
     complete_generators,
     conjugate_pauli,
     diagonalize_commuting_set,
@@ -37,6 +38,39 @@ def _random_pauli(n, rng):
         int(rng.integers(1 << n)),
         int(rng.integers(1 << n)),
     )
+
+
+def _evolved_with_support(n, s, rng):
+    """evolve(x, c) with an s-dimensional support and, for s > 0, an anchor
+    other than the least support element.
+
+    H on s distinct qubits, then random monomial gates (cnot, cz, s, x, z),
+    which move the support without changing its dimension.
+    """
+    qs = rng.choice(n, size=s, replace=False)
+    mono = [g for g in random_clifford_circuit(n, 4 * n, rng).gates if g[0] != "h"]
+    gates = tuple(("h", (int(q),)) for q in qs) + tuple(mono)
+    x = int(rng.integers(0, 1 << n, dtype=np.uint64))
+    st = evolve(x, CliffordCircuit(n, gates))
+    aff = st.affine_form()
+    if s and st.anchor_y == aff.y0:
+        # X on a mover's X part maps the support onto itself and moves the anchor
+        flips = tuple(("x", (q,)) for q in range(n) if (aff.movers[0][0].a >> q) & 1)
+        st = evolve(x, CliffordCircuit(n, gates + flips))
+    return st
+
+
+def _sample_many_per_mover(st, k, rng):
+    """The per-mover sampling loop that the byte tables replaced, as the oracle."""
+    aff = st.affine_form()
+    ys = np.full(k, np.uint64(aff.y0), dtype=np.uint64)
+    if aff.movers:
+        for lo in range(0, k, 1024):
+            part = ys[lo : lo + 1024]
+            bits = rng.integers(0, 2, size=(len(part), len(aff.movers)), dtype=np.uint64)
+            for j, (g, _) in enumerate(aff.movers):
+                part ^= bits[:, j] * np.uint64(g.a)
+    return ys
 
 
 def _state_vector(s: StabilizerState) -> np.ndarray:
@@ -242,17 +276,55 @@ class TestEvolve:
             assert abs(s.amplitude_raw(y)) > 0
 
     def test_vectorized_matches_scalar(self, rng):
-        c = random_clifford_circuit(4, 15, rng)
-        s = evolve(0b0101, c)
-        ys = s.sample_many(64, rng)
-        amps = s.amplitudes_raw_many(ys)
-        for y, a in zip(ys, amps):
-            assert a == pytest.approx(s.amplitude_raw(int(y)), abs=1e-12)
-        # off-support labels give exactly zero
-        all_y = np.arange(1 << 4, dtype=np.uint64)
-        amps_all = s.amplitudes_raw_many(all_y)
-        for y in range(1 << 4):
-            assert amps_all[y] == pytest.approx(s.amplitude_raw(y), abs=1e-12)
+        # widths on both sides of each byte boundary, support dimensions s
+        # from 0 to n, anchors other than the least support element
+        for n in (1, 8, 9, 16, 17, 63, 64):
+            for s in sorted({0, 1, 7, 8, 9, 15, 16, 17, n} & set(range(n + 1))):
+                st = _evolved_with_support(n, s, rng)
+                assert st.affine_form().s == s
+                assert s == 0 or st.anchor_y != st.affine_form().y0
+                self._check_vectorized(st, rng)
+        # general circuits, h gates anywhere
+        for n in (4, 8, 9, 17):
+            c = random_clifford_circuit(n, 6 * n, rng)
+            self._check_vectorized(evolve(int(rng.integers(1 << n)), c), rng)
+
+    @staticmethod
+    def _check_vectorized(st, rng):
+        """Exact equality with amplitude_raw on samples and on off-support labels."""
+        n, aff = st.n, st.affine_form()
+        ys = st.sample_many(200, rng)
+        if n <= 9:
+            labels = np.arange(1 << n, dtype=np.uint64)
+        else:
+            labels = rng.integers(0, 1 << n, size=200, dtype=np.uint64)
+        if aff.zcons:  # breaking one constraint's parity leaves the support
+            flip = np.uint64(1 << gf2.lowest_bit(aff.zcons[0].b))
+            labels = np.concatenate([labels, ys[:50] ^ flip])
+        off = 0
+        for batch in (ys, labels):
+            want = [st.amplitude_raw(y) for y in batch.tolist()]
+            assert st.amplitudes_raw_many(batch).tolist() == want
+            off += want.count(0)
+        assert st.amplitudes_raw_many(ys).all()
+        assert off >= (50 if aff.zcons else 0)
+
+    def test_vectorized_off_support_anchor(self):
+        # an anchor outside the support reaches no support element
+        st = StabilizerState([parse_pauli("ZI"), parse_pauli("IX")], anchor_y=0b01, anchor_amp=1.0)
+        ys = np.arange(4, dtype=np.uint64)
+        assert st.amplitudes_raw_many(ys).tolist() == [st.amplitude_raw(y) for y in range(4)]
+        assert not st.amplitudes_raw_many(ys).any()
+
+    @pytest.mark.parametrize("n", [8, 17, 64])
+    def test_sample_many_pinned_to_per_mover_loop(self, n, rng):
+        for s in sorted({0, 1, 8, 9, n} & set(range(n + 1))):
+            st = _evolved_with_support(n, s, rng)
+            for k in (1, 1023, 3000):
+                seed = int(rng.integers(1 << 32))
+                got = st.sample_many(k, np.random.default_rng(seed))
+                want = _sample_many_per_mover(st, k, np.random.default_rng(seed))
+                assert got.dtype == np.uint64 and np.array_equal(got, want)
 
     def test_sample_many_distribution(self, rng):
         # |+>^2: all four outcomes occur with similar frequency
@@ -305,6 +377,44 @@ class TestCompletionAndSynthesis:
                 assert g.is_hermitian()
                 for h in gens[i + 1 :]:
                     assert commutes(g, h)
+
+    @pytest.mark.parametrize("n", [3, 8, 70])
+    def test_reduce_x_block_matches_row_scan(self, n, rng):
+        def row_scan(rows):  # one Python scan of all rows per qubit, as the oracle
+            piv_of, used = {}, set()
+            for q in range(n):
+                hit = next((i for i, g in enumerate(rows) if i not in used and (g.a >> q) & 1), None)
+                if hit is None:
+                    continue
+                piv_of[q] = hit
+                used.add(hit)
+                for i, g in enumerate(rows):
+                    if i != hit and (g.a >> q) & 1:
+                        rows[i] = multiply(g, rows[hit])
+            return piv_of
+
+        def bits():
+            return int("".join(map(str, rng.integers(0, 2, n))), 2)
+
+        for _ in range(5):
+            rows = [PauliOperator(n, int(rng.integers(4)), bits(), bits()) for _ in range(n)]
+            rows[-1] = multiply(rows[0], rows[1])  # a dependent X part
+            got, want = list(rows), list(rows)
+            assert list(_reduce_x_block(got).items()) == list(row_scan(want).items())
+            assert got == want
+
+    def test_compile_checks_commutation_once(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            stabilizer, "commutes", lambda p, q: calls.append(1) or commutes(p, q)
+        )
+        ps = random_commuting_paulis(12, 20, rng)
+        diagonalize_commuting_set(ps)
+        assert len(calls) == 20 * 19 // 2
+        # the public completion still checks its own input
+        with pytest.raises(NotCommuting) as err:
+            complete_generators([parse_pauli("XI"), parse_pauli("ZI")])
+        assert (err.value.i, err.value.j) == (0, 1)
 
     def test_synthesize_prep_stabilizes(self, rng):
         for _ in range(10):
