@@ -48,19 +48,26 @@ class NamedGate:
 class DenseGate:
     """Explicit unitary on ``qudits`` (sorted); axes follow that order.
 
-    The matrix is checked for unitarity once, here, and kept as a read-only
-    copy, so a constructed gate stays valid and its identity can key caches.
+    The qudits (distinct, non-negative) and the matrix's unitarity are
+    checked once, here, and the matrix is kept as a read-only copy, so a
+    constructed gate stays valid and its identity can key caches.
     """
 
     qudits: tuple[int, ...]
     matrix: np.ndarray = field(hash=False)
 
     def __post_init__(self):
+        q = self.qudits
+        if len(set(q)) != len(q):
+            raise ValueError("gate support indices must be distinct")
+        if q and min(q) < 0:
+            raise ValueError(f"gate support {q} has a negative index")
         m = np.array(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"dense matrix of shape {m.shape} is not square")
-        err = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
-        if err > UNITARY_TOL:
+        with np.errstate(invalid="ignore", over="ignore"):  # inf entries give NaN
+            err = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
+        if not err <= UNITARY_TOL:  # NaN fails too
             raise ValueError(f"dense matrix is not unitary (deviation {err:.2e})")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -121,6 +128,15 @@ class Circuit:
             raise ValueError("layer sizes do not sum to the gate count")
 
     def _check_gate(self, g: Gate):
+        if isinstance(g, DenseGate):
+            # the gate checked its own qudits; only the register and d are new
+            sup = g.qudits
+            if sup and max(sup) >= self.n:
+                raise ValueError(f"gate support {sup} outside register of size {self.n}")
+            dim = self.d ** len(sup)
+            if g.matrix.shape != (dim, dim):
+                raise ValueError("dense matrix shape does not match support")
+            return
         sup = g.support
         if len(set(sup)) != len(sup):
             raise ValueError("gate support indices must be distinct")
@@ -128,10 +144,6 @@ class Circuit:
             raise ValueError(f"gate support {sup} outside register of size {self.n}")
         if self.d != 2 and isinstance(g, (NamedGate, PauliExpGate, ControlledGate)):
             raise ValueError("named, Pauli-exponential and controlled gates need d = 2")
-        if isinstance(g, DenseGate):
-            dim = self.d ** len(g.qudits)
-            if g.matrix.shape != (dim, dim):
-                raise ValueError("dense matrix shape does not match support")
         if isinstance(g, PauliExpGate):
             if g.pauli.n != self.n:
                 raise ValueError("Pauli width must equal the register size")
@@ -392,6 +404,8 @@ def _parse_gate_line(line: str, no: int, n: int, d: int) -> Gate:
             theta = float(toks[1])
         except ValueError:
             raise ParseError(no, f"bad angle {toks[1]!r}") from None
+        if not math.isfinite(theta):
+            raise ParseError(no, f"angle {toks[1]!r} is not finite")
         p = parse_pauli(toks[2], n=n, line_no=no)
         if not p.is_hermitian():
             raise ParseError(no, f"Pauli string {toks[2]!r} is not Hermitian")

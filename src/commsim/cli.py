@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import secrets
 import sys
@@ -177,6 +178,8 @@ def _load_extras(path: str, n: int) -> list[tuple[int, ExtraGate]]:
             theta = float(toks[1])
         except ValueError as exc:
             raise ParseError(no, str(exc)) from None
+        if not math.isfinite(theta):
+            raise ParseError(no, f"angle {toks[1]!r} is not finite")
         out.append((slot, ExtraGate(theta, parse_pauli(toks[2], n, line_no=no))))
     return out
 
@@ -326,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"commsim {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, estimator=False):
+    def common(p, estimator=False, shots_help="total sample count (overrides the derived K)"):
         p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
         p.add_argument("--workers", type=int, default=1, help="parallelism hint")
         p.add_argument(
@@ -342,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--shots",
                 type=int,
                 default=None,
-                help="total sample count (overrides the derived K)",
+                help=shots_help,
             )
 
     p = sub.add_parser("oracle", help="exact statevector expectation")
@@ -392,7 +395,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("depth-overlap", help="estimate |<0|U|0>|^2 for shallow circuits")
     p.add_argument("circuit")
     p.add_argument("--clifford", default=None, help="extra Clifford factor (.qc file)")
-    common(p, estimator=True)
+    common(
+        p,
+        estimator=True,
+        shots_help="number of subset draws (overrides the derived K); "
+        "the shots per subset still follow --epsilon/--delta",
+    )
     p.set_defaults(func=_cmd_depth_overlap)
 
     return top

@@ -7,17 +7,6 @@ def lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def rank(rows: list[int]) -> int:
-    basis: dict[int, int] = {}
-    r = 0
-    for row in rows:
-        row = reduce_row(row, basis)
-        if row:
-            basis[lowest_bit(row)] = row
-            r += 1
-    return r
-
-
 def reduce_row(row: int, basis: dict[int, int]) -> int:
     while row:
         p = lowest_bit(row)

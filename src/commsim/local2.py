@@ -53,7 +53,7 @@ class ProductState:
         for i, f in enumerate(self.factors):
             if f.shape != (self.d,):
                 raise DimensionMismatch(f"factor {i} has shape {f.shape}, want ({self.d},)")
-            if abs(np.linalg.norm(f) - 1.0) > FACTOR_NORM_TOL:
+            if not abs(np.linalg.norm(f) - 1.0) <= FACTOR_NORM_TOL:  # NaN fails too
                 raise ValueError(f"factor {i} is not normalized")
 
     @property
@@ -161,10 +161,10 @@ def verify_phase_table(c: Circuit, gamma: np.ndarray):
         raise SizeMismatch(f"phase table must be {m}x{m}")
     for i in range(m):
         for j in range(i + 1, m):
-            if abs(abs(gamma[i, j]) - 1.0) > PHASE_TOL:
+            if not abs(abs(gamma[i, j]) - 1.0) <= PHASE_TOL:  # NaN fails too
                 raise PhaseMismatch(i, j)
             m1, m2, _ = union_matrices(c.gates[i], c.gates[j], c.d)
-            if np.linalg.norm(m1 @ m2 - gamma[i, j] * (m2 @ m1)) > PHASE_TOL:
+            if not np.linalg.norm(m1 @ m2 - gamma[i, j] * (m2 @ m1)) <= PHASE_TOL:
                 raise PhaseMismatch(i, j)
 
 

@@ -29,8 +29,9 @@ class StateVector:
     def __post_init__(self):
         if self.amplitudes.shape != (self.d**self.n,):
             raise DimensionMismatch("amplitude array has wrong length")
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > NORM_TOL:
+        a = self.amplitudes
+        norm = np.sqrt(np.vdot(a, a).real)
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"state norm {norm} deviates from 1")
 
     def tensor(self) -> np.ndarray:
@@ -50,7 +51,9 @@ class Observable:
             raise ValueError("observable support must be sorted and distinct")
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError(f"observable matrix of shape {self.matrix.shape} is not square")
-        if np.linalg.norm(self.matrix - self.matrix.conj().T) > HERM_TOL:
+        with np.errstate(invalid="ignore"):  # inf entries give NaN
+            err = np.linalg.norm(self.matrix - self.matrix.conj().T)
+        if not err <= HERM_TOL:  # NaN fails too
             raise ValueError("observable is not Hermitian")
 
 
@@ -105,11 +108,19 @@ def product_state(factors: list[np.ndarray], d: int, cap: int = DEFAULT_CAP) -> 
 
 
 def _apply_matrix(tensor: np.ndarray, m: np.ndarray, support: tuple[int, ...], d: int) -> np.ndarray:
-    k = len(support)
-    mt = m.reshape((d,) * (2 * k))
-    out = np.tensordot(mt, tensor, axes=(list(range(k, 2 * k)), list(support)))
-    # tensordot puts the support axes first; move them back
-    return np.moveaxis(out, list(range(k)), list(support))
+    """``m`` on the ``support`` axes of ``tensor``; any other axis rides along.
+
+    The support axes go to the front, one matmul acts on the (d^k, rest)
+    view, and the inverse transpose puts the axes back.
+    """
+    rest = [ax for ax in range(tensor.ndim) if ax not in support]
+    perm = [*support, *rest]
+    x = tensor.transpose(perm)
+    out = (m @ x.reshape(m.shape[1], -1)).reshape(x.shape)
+    inv = [0] * len(perm)
+    for i, ax in enumerate(perm):
+        inv[ax] = i
+    return out.transpose(inv)
 
 
 def apply_gate(s: StateVector, g: Gate, cap: int = DEFAULT_CAP) -> StateVector:

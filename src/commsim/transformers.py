@@ -88,9 +88,10 @@ class DenseOracleExecutor(GammaKExecutor):
             # every saved state has this size, so the path stays a prefix
             if (len(self._path) + 1) * s.amplitudes.size <= self.cap:
                 self._path.append((g, s))
-        t = s.tensor()
-        # qubit 1 is the leading axis; outcome 0 of it means Z = +1
-        p = float(np.sum(np.abs(np.take(t, 0, axis=0)) ** 2))
+        # qubit 1 is the most significant digit, so its outcome 0 (Z = +1)
+        # is exactly the leading size/d amplitudes
+        h = s.amplitudes[: s.amplitudes.size // c.d]
+        p = float(np.vdot(h, h).real)
         return min(1.0, max(0.0, p))
 
     def run(self, c: Circuit, shots: int, rng: np.random.Generator) -> np.ndarray:

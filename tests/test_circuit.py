@@ -81,6 +81,23 @@ class TestGateMatrices:
         with pytest.raises(ValueError):
             g.matrix[0, 0] = 5.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_dense_rejected(self, bad):
+        with pytest.raises(ValueError, match="not unitary"):
+            DenseGate((0,), np.array([[bad, 0], [0, 1]], dtype=complex))
+
+    def test_dense_qudits_checked_by_gate(self):
+        eye4 = np.eye(4, dtype=complex)
+        with pytest.raises(ValueError, match="distinct"):
+            DenseGate((1, 1), eye4)
+        with pytest.raises(ValueError, match="negative"):
+            DenseGate((-1, 0), eye4)
+        # the circuit still checks the register bound and the shape against d
+        with pytest.raises(ValueError, match="outside register"):
+            Circuit(2, 2, [DenseGate((0, 2), eye4)])
+        with pytest.raises(ValueError, match="does not match support"):
+            Circuit(3, 3, [DenseGate((0, 2), eye4)])
+
     def test_embed_matrix_kron_identity(self, rng):
         m = random_unitary(2, rng)
         big = embed_matrix(m, (1,), (0, 1, 2), 2)

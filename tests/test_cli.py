@@ -247,6 +247,14 @@ class TestErrorsAndDeterminism:
         code, out, err = run_cli(capsys, *args, "--shots", "5")
         assert code == 1 and not out and "epsilon=1e-300 needs inf samples" in err
 
+    def test_depth_overlap_shots_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["depth-overlap", "-h"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "number of subset draws" in help_text
+        assert "total sample count" not in help_text
+
     def test_usage_error_exit_2(self, qc, capsys):
         with pytest.raises(SystemExit) as exc:
             dispatch(["no-such-command"])
@@ -272,6 +280,35 @@ class TestErrorsAndDeterminism:
             capsys, "paulisim", path, "--qubit", "1", "--seed", "1", "--input", "210"
         )
         assert code == 1 and not out and "error:" in err
+
+    @pytest.mark.parametrize("command", ["oracle", "paulisim"])
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_rejected(self, qc, capsys, command, angle):
+        # NaN passed every tolerance check and came out as a NaN value
+        path = qc("c.qc", f"circuit 1\nexppauli {angle} Z\n")
+        obs = ["--obs", "Z1"] if command == "oracle" else ["--qubit", "1", "--seed", "1"]
+        code, out, err = run_cli(capsys, command, path, *obs)
+        assert code == 1 and not out and "line 2" in err and "not finite" in err
+
+    def test_nan_dense_gate_rejected(self, qc, capsys):
+        path = qc("c.qc", "circuit 1\ndense 1 1 nan 0 0 0 0 0 1 0\n")
+        code, out, err = run_cli(capsys, "oracle", path, "--obs", "Z1")
+        assert code == 1 and not out and "not unitary" in err
+
+    def test_nan_observable_rejected(self, qc, capsys):
+        cpath = qc("c.qc", "circuit 1\nh 1\n")
+        opath = qc("z.mat", "nan 0 0 0\n0 0 -1 0\n")
+        code, out, err = run_cli(capsys, "oracle", cpath, "--obs", f"{opath}@1")
+        assert code == 1 and not out and "not Hermitian" in err
+
+    @pytest.mark.parametrize("angle", ["nan", "inf"])
+    def test_non_finite_extra_angle_rejected(self, qc, capsys, angle):
+        path = qc("c.qc", BELLISH)
+        extras = qc("e.txt", f"1 {angle} XI\n")
+        code, out, err = run_cli(
+            capsys, "paulisim", path, "--qubit", "1", "--seed", "1", "--extras", extras
+        )
+        assert code == 1 and not out and "not finite" in err
 
     def test_stdout_deterministic_across_workers(self, qc, capsys):
         path = qc("c.qc", BELLISH)

@@ -131,6 +131,8 @@ class TestPhaseCommuting:
         with pytest.raises(PhaseMismatch):
             # non-unimodular entry
             verify_phase_table(c, np.array([[1, 2], [2, 1]], dtype=complex))
+        with pytest.raises(PhaseMismatch):
+            verify_phase_table(c, np.array([[1, np.nan], [np.nan, 1]], dtype=complex))
 
 
 class TestValidation:
@@ -158,5 +160,7 @@ class TestValidation:
     def test_factor_validation(self):
         with pytest.raises(ValueError):
             ProductState([np.array([1.0, 1.0])], 2)
+        with pytest.raises(ValueError, match="not normalized"):
+            ProductState([np.array([np.nan, 0.0])], 2)
         with pytest.raises(DimensionMismatch):
             ProductState([np.array([1.0, 0.0, 0.0])], 2)

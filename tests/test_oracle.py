@@ -12,11 +12,19 @@ from conftest import (
     random_unitary,
 )
 
-from commsim.circuit import Circuit, DenseGate, NamedGate, PauliExpGate, gate_matrix
+from commsim.circuit import (
+    Circuit,
+    DenseGate,
+    NamedGate,
+    PauliExpGate,
+    embed_matrix,
+    gate_matrix,
+)
 from commsim.errors import CapacityExceeded, DimensionMismatch
 from commsim.oracle import (
     Observable,
     StateVector,
+    _apply_matrix,
     apply_circuit,
     apply_gate,
     basis_state,
@@ -66,9 +74,38 @@ class TestStates:
         with pytest.raises(ValueError):
             StateVector(1, 2, np.array([1.0, 1.0], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_norm_rejected(self, bad):
+        with pytest.raises(ValueError, match="deviates from 1"):
+            StateVector(1, 2, np.array([bad, 0.0], dtype=complex))
+
     def test_qutrit_basis(self):
         s = basis_state(2, 3, "12")
         assert s.amplitudes[1 * 3 + 2] == 1.0
+
+
+class TestKernel:
+    """``_apply_matrix`` against the gate embedded on the whole sorted register."""
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (2, 7), (3, 1), (3, 4)])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_matches_embedded_product(self, rng, d, n, batch):
+        reg = tuple(range(n))
+        for trial in range(12):
+            k = int(rng.integers(1, min(n, 3) + 1))
+            sup = sorted(int(q) for q in rng.choice(n, size=k, replace=False))
+            if trial % 2 == 0:
+                sup[0] = 0  # every other support holds axis 0
+            if trial % 3 == 2:
+                rng.shuffle(sup)  # unsorted: the axes of m follow sup
+            sup = tuple(sup)
+            m = random_unitary(d ** len(sup), rng)
+            shape = (d**n,) if batch is None else (d**n, batch)
+            v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            got = _apply_matrix(v.reshape((d,) * n + shape[1:]), m, sup, d)
+            want = embed_matrix(m, sup, reg, d) @ v
+            assert got.shape == (d,) * n + shape[1:]
+            assert np.allclose(got.reshape(shape), want, atol=1e-12)
 
 
 class TestGateApplication:
@@ -145,6 +182,9 @@ class TestDerivedQuantities:
         for shape in ((2, 3), (3,)):
             with pytest.raises(ValueError, match="not square"):
                 Observable((0,), np.ones(shape))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                Observable((0,), np.array([[bad, 0], [0, 1]], dtype=complex))
 
     def test_matrix_element(self):
         c = Circuit(2, 2, [NamedGate("h", (0,)), NamedGate("cnot", (0, 1))])

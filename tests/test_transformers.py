@@ -176,6 +176,18 @@ class TestExecutor:
         for c in circuits:
             assert ex._p_plus(c) == DenseOracleExecutor()._p_plus(c)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_p_plus_is_outcome_zero_weight(self, rng, d):
+        gates = [
+            DenseGate(p, random_unitary(d ** len(p), rng))
+            for p in [(0, 2), (1, 3), (0, 1, 3), (2,), (0, 3)]
+        ]
+        ex = DenseOracleExecutor()
+        for k in (5, 3, 4, 1, 5, 0):  # resumes from saved prefixes in between
+            c = Circuit(4, d, gates[:k])
+            want = np.sum(np.abs(run_circuit(c, 0).tensor()[0]) ** 2)
+            assert ex._p_plus(c) == pytest.approx(want, abs=1e-14)
+
     def test_saved_states_within_cap(self, rng):
         gates = [DenseGate(p, random_unitary(4, rng)) for p in [(0, 1), (1, 2), (0, 2)] * 2]
         ex = DenseOracleExecutor(cap=20)  # room for two saved 8-amplitude states
