@@ -17,6 +17,11 @@ from commsim import (
 from commsim.stabilizer import complete_generators, synthesize_prep
 
 
+def label(y: int, n: int) -> str:
+    """Basis label with qubit 1 first (bit k of y is qubit k + 1)."""
+    return f"{y:0{n}b}"[::-1]
+
+
 def main():
     n = 5
     print("=== chain stabilizers Z X Z ===")
@@ -46,7 +51,7 @@ def main():
     rng = np.random.default_rng(3)
     for _ in range(4):
         y = state.sample(rng)
-        print(f"  |{state.label(y)}>  amplitude {state.amplitude(y):+.4f}")
+        print(f"  |{label(y, state.n)}>  amplitude {state.amplitude(y):+.4f}")
 
     print("\n=== exact global phase tracking ===")
     from commsim.stabilizer import CliffordCircuit
@@ -56,7 +61,7 @@ def main():
     for y in range(4):
         a = psi.amplitude_raw(y)
         if a:
-            print(f"  <{psi.label(y)}|psi> = {a:+.4f}  (phases tracked gate by gate)")
+            print(f"  <{label(y, psi.n)}|psi> = {a:+.4f}  (phases tracked gate by gate)")
 
 
 if __name__ == "__main__":

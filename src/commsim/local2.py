@@ -181,14 +181,4 @@ def simulate_2local_phase_commuting(
     verifying the table the plain contraction applies unchanged.
     """
     verify_phase_table(c, gamma)
-    if inp.n != c.n or inp.d != c.d:
-        raise DimensionMismatch("input state and circuit disagree on register shape")
-    if obs.support and max(obs.support) >= c.n:
-        raise DimensionMismatch("observable support outside the register")
-    if len(obs.support) > max_block:
-        raise LocalityExceeded(
-            f"observable touches {len(obs.support)} qudits (block cap {max_block})"
-        )
-    _check_2local(c)
-    gates = _strip_block(c, obs.support)
-    return _contract(gates, obs.support, obs.matrix, inp, c.d)
+    return simulate_2local(c, inp, obs, max_block, check=False)

@@ -71,9 +71,6 @@ class PauliOperator:
         """Symplectic vector (a, b) packed as a single 2n-bit integer."""
         return self.a | (self.b << self.n)
 
-    def is_identity(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.t == 0
-
     def is_hermitian(self) -> bool:
         # Hermitian iff overall phase is +-1, i.e. t == a.b (mod 2).
         return (self.t & 1) == _parity(self.a & self.b)

@@ -117,8 +117,8 @@ def _conj_rows(rows: list[PauliOperator], gates) -> list[PauliOperator]:
     exponent, so one gate costs a few integer operations however many rows
     ride along.  Python ints put no limit on the number of qubits or rows.
     """
-    if not rows:
-        return []
+    if not rows or not gates:  # an empty circuit skips the bit transposes
+        return list(rows)
     n = rows[0].n
     xs, zs = [0] * n, [0] * n
     t0 = t1 = 0
@@ -412,7 +412,9 @@ class StabilizerState:
         y_p = gf2.solve(sys_rows, sys_rhs)
         if y_p is None:
             raise MinusIdentity("constraints are inconsistent (-I in the group)")
-        basis = gf2.reduced_basis([g.a for g, _ in movers])
+        # _reduce_x_block left the movers' X parts fully reduced, each keyed
+        # by its pivot, which is its lowest X bit
+        basis = {q: g.a for g, q in movers}
         y0 = gf2.coset_min(y_p, basis)
         self._affine = _AffineForm(movers, zcons, y_p, y0, basis)
         return self._affine
@@ -464,9 +466,6 @@ class StabilizerState:
         aff = self.affine_form()
         a0 = self.amplitude_raw(aff.y0)
         return a0 / abs(a0)
-
-    def label(self, y: int) -> str:
-        return "".join(str((y >> k) & 1) for k in range(self.n))
 
     # -- sampling ------------------------------------------------------
 

@@ -4,16 +4,16 @@ Every transformer emits an ordinary circuit whose Z statistics on the first
 qubit encode a matrix element of the input circuit: controlled-gate folding
 for commuting circuits, the halved "alternate" test for arbitrary circuits,
 the two-layer merge for products of two commuting layers, and on top of
-those, sampling estimators for |<0|U|0>|^2 of constant-depth circuits (with
-and without an extra Clifford factor).  Estimators only ever talk to an
-executor that returns measurement outcomes, never to state amplitudes.
+those, one sampling estimator for |<0|C U|0>|^2 with U of constant depth and
+C a Clifford circuit; the plain |<0|U|0>|^2 estimate is its C = I case.  The
+estimator only ever talks to an executor that returns measurement outcomes,
+never to state amplitudes.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .circuit import (
     embed_matrix,
     gate_matrix,
 )
-from .errors import CapacityExceeded, LightconeTooLarge, NotCommuting, SizeMismatch
+from .errors import CapacityExceeded, LightconeTooLarge, SizeMismatch
 from .estimator import EstimateResult, EstimatorConfig, hoeffding_count
 from .oracle import DEFAULT_CAP, StateVector, apply_gate, basis_state
 from .pauli import PauliOperator
@@ -36,6 +36,8 @@ from .stabilizer import CliffordCircuit, _conj_rows
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _SDG = np.diag([1, -1j]).astype(complex)
 _HSDG = _H @ _SDG  # final ancilla rotation for the imaginary part
+# Re(i^t w) = +-Re w (t even) or -+Im w (t odd)
+_RE_SIGN = (1.0, -1.0, -1.0, 1.0)
 
 DEFAULT_LIGHTCONE_BOUND = 8
 # the subset sampler draws each subset as one uint64 bit mask
@@ -325,45 +327,10 @@ def estimate_cd_overlap(
     Writes the squared overlap as the subset average of F(S) =
     <0| prod_{j in S} U^dag Z_j U |0> and estimates Re F(S) for sampled S
     with ancilla tests run on the executor; the budget is split half/half
-    between subset sampling and the per-subset tests.
+    between subset sampling and the per-subset tests.  This is the C = I
+    case of :func:`estimate_cd_clifford_overlap`.
     """
-    t0 = time.perf_counter()
-    _require_qubits(u)
-    n = u.n
-    conj = [
-        _conjugate_through(u, PauliOperator(n, 0, 0, 1 << j), lightcone_bound)
-        for j in range(n)
-    ]
-    # real-part folds are gate-local, so each qubit's test gate is built once
-    folded = []
-    for sup, m in conj:
-        shifted = tuple(q + 1 for q in sup)
-        cg = _controlled_block(m)
-        folded.append(DenseGate((0, *shifted), _ancilla_fold(cg, len(sup), _H, _H)))
-    masks, counts, k_sub, shots_per = _subset_plan(n, cfg, rng)
-    total = 0.0
-    for mask, count in zip(masks.tolist(), counts.tolist()):
-        # high qubits first: the masks come sorted, so consecutive subsets
-        # share a leading run of gates that the executor can reuse
-        gates = [folded[j] for j in reversed(range(n)) if (mask >> j) & 1]
-        if not gates:  # empty subset: bare ancilla, F = 1
-            gates = [
-                DenseGate((0,), _ancilla_fold(np.eye(2, dtype=complex), 0, _H, _H))
-            ]
-        test = Circuit(n + 1, 2, gates)
-        shots = shots_per * int(count)
-        p0 = executor.run_counts(test, shots, rng) / shots
-        total += p0_to_value(p0) * int(count)
-    raw = total / k_sub
-    return EstimateResult(
-        value=min(1.0, max(0.0, raw)),
-        raw_value=raw,
-        epsilon=cfg.epsilon,
-        delta=cfg.delta,
-        k=k_sub,
-        seed=cfg.seed,
-        elapsed_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return _estimate_overlap(u, CliffordCircuit(u.n, ()), cfg, executor, rng, lightcone_bound)
 
 
 def estimate_cd_clifford_overlap(
@@ -381,6 +348,22 @@ def estimate_cd_clifford_overlap(
     into one ancilla test; the exact phase i^t picks the Re or Im variant.
     A merged gate depends only on its support, the X and Z bits of the image
     there and whether it closes an Im test, so each is built once per call.
+    """
+    return _estimate_overlap(u, c, cfg, executor, rng, lightcone_bound)
+
+
+def _estimate_overlap(
+    u: Circuit,
+    c: CliffordCircuit,
+    cfg: EstimatorConfig,
+    executor: GammaKExecutor,
+    rng: np.random.Generator,
+    lightcone_bound: int,
+) -> EstimateResult:
+    """The one overlap estimator behind both public entry points.
+
+    With C = I every image C^dag Z(S) C is Z(S) itself, so the X layer
+    stays empty and every test is a Re test.
     """
     t0 = time.perf_counter()
     _require_qubits(u)
@@ -418,9 +401,9 @@ def estimate_cd_clifford_overlap(
     order = sorted(groups.items(), key=lowest_bit_touching, reverse=True)
     merged: dict[tuple, Gate] = {}
 
-    def merged_gate(sup: tuple[int, ...], a: int, b: int, closing: bool) -> Gate:
-        key = (sup, a, b, closing)
+    def merged_gate(key: tuple) -> Gate:
         if key not in merged:
+            sup, a, b, closing = key
             layer1 = Circuit(n, 2, [conj_x[k] for k in range(n) if (a >> k) & 1])
             layer2 = Circuit(n, 2, [conj_z[k] for k in range(n) if (b >> k) & 1])
             part = "imag" if closing else "real"
@@ -429,22 +412,17 @@ def estimate_cd_clifford_overlap(
 
     total = 0.0
     for p, count in zip(images[n:], counts.tolist()):
-        # the merged gates commute, so any of them may close the Im test
-        present = [
-            (sup, p.a & xm, p.b & zm) for sup, (xm, zm) in order if p.a & xm or p.b & zm
-        ]
-        present = present or [((), 0, 0)]  # empty subset: bare ancilla, F = 1
-        last = len(present) - 1
-        gates = [
-            merged_gate(sup, a, b, p.t % 2 == 1 and i == last)
-            for i, (sup, a, b) in enumerate(present)
-        ]
-        test = Circuit(n + 1, 2, gates)
-        # Re(i^t w) = +-Re w (t even) or -+Im w (t odd)
-        sign = {0: 1.0, 1: -1.0, 2: -1.0, 3: 1.0}[p.t]
-        shots = shots_per * int(count)
+        keys = [
+            (sup, p.a & xm, p.b & zm, False)
+            for sup, (xm, zm) in order
+            if p.a & xm or p.b & zm
+        ] or [((), 0, 0, False)]  # empty subset: bare ancilla, F = 1
+        if p.t & 1:  # the merged gates commute, so any of them may close the Im test
+            keys[-1] = (*keys[-1][:3], True)
+        test = Circuit(n + 1, 2, [merged_gate(key) for key in keys])
+        shots = shots_per * count
         p0 = executor.run_counts(test, shots, rng) / shots
-        total += sign * p0_to_value(p0) * int(count)
+        total += _RE_SIGN[p.t] * p0_to_value(p0) * count
     raw = total / k_sub
     return EstimateResult(
         value=min(1.0, max(0.0, raw)),

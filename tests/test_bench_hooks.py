@@ -1,0 +1,67 @@
+"""The benchmark's trace hooks still find every library name they wrap.
+
+``bench/run.py --trace 1`` patches library functions by attribute name, so a
+rename or deletion in the library breaks tracing without failing any other
+test.  This imports the benchmark driver, installs its hooks and removes them.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from commsim import transformers
+from commsim.circuit import Circuit, NamedGate
+from commsim.estimator import EstimatorConfig
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    # run.py pins BLAS threads through os.environ and imports its siblings
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    import spans
+
+    return run, spans
+
+
+def _installed(owner, attr):
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def test_instrument_wraps_and_restores(bench):
+    run, spans = bench
+    tr = spans.Tracer()
+    try:
+        run.instrument(tr)
+        patches = list(tr._patches)
+        assert patches
+        for owner, attr, raw in patches:
+            assert _installed(owner, attr) is not raw, attr
+    finally:
+        tr.restore()
+    assert not tr._patches
+    for owner, attr, raw in patches:
+        assert _installed(owner, attr) is raw, attr
+
+
+def test_overlap_estimators_open_one_span_each(bench):
+    run, spans = bench
+    u = Circuit(2, 2, [NamedGate("h", (0,))])
+    cfg = EstimatorConfig(k_override=8)
+    tr = spans.Tracer()
+    run.instrument(tr)
+    try:
+        transformers.estimate_cd_overlap(u, cfg, transformers.DenseOracleExecutor(),
+                                         np.random.default_rng(1))
+    finally:
+        tr.restore()
+    assert tr.calls("transformers.estimate") == 1
+    assert tr.counts["transformers.subset_draws"] == 8

@@ -131,6 +131,17 @@ class TestEstimatorCommands:
         assert code == 0
         assert abs(jline(out)["value"] - 0.5) <= 0.15
 
+    def test_depth_overlap_empty_clifford_is_plain(self, qc, capsys):
+        upath = qc("u.qc", "circuit 2\nh 1\nexppauli 0.7 XZ\n")
+        cpath = qc("c.qc", "circuit 2\n")
+        code, plain, _ = run_cli(capsys, "depth-overlap", upath, "--seed", "9")
+        assert code == 0
+        code, cliff, _ = run_cli(
+            capsys, "depth-overlap", upath, "--clifford", cpath, "--seed", "9"
+        )
+        assert code == 0
+        assert cliff == plain
+
 
 class TestTransformerCommands:
     def test_hadamard_test(self, qc, capsys):

@@ -130,6 +130,14 @@ class TestConjugation:
                 atol=1e-10,
             )
 
+    def test_empty_circuit_returns_input(self, rng):
+        for n in (1, 5, 70):
+            c = CliffordCircuit(n, ())
+            for _ in range(5):
+                p = _random_wide_pauli(n, rng)
+                assert conjugate_pauli(c, p) == p
+                assert conjugate_pauli(c, p, "inverse") == p
+
     def test_inverse_direction(self, rng):
         c = random_clifford_circuit(3, 10, rng)
         p = _random_pauli(3, rng)
@@ -267,6 +275,17 @@ class TestEvolve:
         assert s.amplitude(y, phased=True) == pytest.approx(
             s.amplitude(y) * s.global_phase()
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 33, 64, 70])
+    def test_affine_basis_is_reduced_basis(self, n, rng):
+        # the movers' X parts come out of _reduce_x_block already reduced
+        for _ in range(4):
+            c = random_clifford_circuit(n, 4 * n, rng)
+            x = _random_wide_pauli(n, rng).a
+            aff = evolve(x, c).affine_form()
+            want = gf2.reduced_basis([g.a for g, _ in aff.movers])
+            assert aff.min_basis == want
+            assert aff.y0 == gf2.coset_min(aff.y_particular, want)
 
     def test_sampling_in_support(self, rng):
         c = random_clifford_circuit(4, 15, rng)

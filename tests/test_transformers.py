@@ -22,7 +22,7 @@ from commsim.errors import CapacityExceeded, LightconeTooLarge, NotCommuting, Si
 from commsim.estimator import EstimatorConfig
 from commsim.oracle import circuit_unitary, matrix_element, run_circuit
 from commsim.pauli import PauliOperator
-from commsim.stabilizer import conjugate_pauli, random_clifford_circuit
+from commsim.stabilizer import CliffordCircuit, conjugate_pauli, random_clifford_circuit
 from commsim.transformers import (
     DenseOracleExecutor,
     alternate_hadamard_test,
@@ -299,6 +299,17 @@ class TestOverlapEstimators:
         )
         assert a.raw_value == pytest.approx(plain, abs=1e-12)
         assert b.raw_value == pytest.approx(clifford, abs=1e-12)
+
+    @pytest.mark.parametrize("seed,n", [(71, 1), (72, 3), (73, 5), (74, 7)])
+    def test_plain_is_identity_clifford_case(self, seed, n):
+        u = random_shallow_circuit(n, 2, np.random.default_rng(seed))
+        cfg = EstimatorConfig(epsilon=0.2, delta=0.1, k_override=64)
+        a = estimate_cd_overlap(u, cfg, DenseOracleExecutor(), np.random.default_rng(seed))
+        b = estimate_cd_clifford_overlap(
+            u, CliffordCircuit(n, ()), cfg, DenseOracleExecutor(), np.random.default_rng(seed)
+        )
+        assert a.raw_value == b.raw_value
+        assert a.k == b.k
 
     def test_clifford_variant_builds_each_merged_gate_once(self, monkeypatch):
         n = 6
