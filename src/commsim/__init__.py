@@ -21,6 +21,7 @@ from .circuit import (
     support_lightcone,
 )
 from .errors import (
+    BatchMismatch,
     CapacityExceeded,
     CommsimError,
     DependentInput,
@@ -32,6 +33,7 @@ from .errors import (
     NotHermitian,
     ParseError,
     PhaseMismatch,
+    ProbabilityOutOfRange,
     SizeMismatch,
     TooManyExtras,
     ZeroAmplitudeSample,

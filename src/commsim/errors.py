@@ -26,6 +26,14 @@ class CapacityExceeded(CommsimError):
     """A statevector would exceed the amplitude cap, or a register a fixed size limit."""
 
 
+class BatchMismatch(CommsimError):
+    """Executor tests and shot counts differ in number, or a test names a gate outside its pool."""
+
+
+class ProbabilityOutOfRange(CommsimError):
+    """A measured outcome probability is non-finite or exceeds 1 beyond the norm tolerance."""
+
+
 class NotCommuting(CommsimError):
     """A gate pair that was required to commute does not."""
 

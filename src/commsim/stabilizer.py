@@ -255,7 +255,6 @@ class _AffineForm:
     zcons: list[PauliOperator]  # pure Z-type constraints
     y_particular: int
     y0: int  # lexicographically least support element
-    min_basis: dict[int, int]
     tables: _ByteTables | None = None  # built on first vectorized use
 
     @property
@@ -414,9 +413,8 @@ class StabilizerState:
             raise MinusIdentity("constraints are inconsistent (-I in the group)")
         # _reduce_x_block left the movers' X parts fully reduced, each keyed
         # by its pivot, which is its lowest X bit
-        basis = {q: g.a for g, q in movers}
-        y0 = gf2.coset_min(y_p, basis)
-        self._affine = _AffineForm(movers, zcons, y_p, y0, basis)
+        y0 = gf2.coset_min(y_p, {q: g.a for g, q in movers})
+        self._affine = _AffineForm(movers, zcons, y_p, y0)
         return self._affine
 
     def in_support(self, y: int) -> bool:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     commuting_pauli_exp_circuit,
     random_shallow_circuit,
@@ -18,13 +20,21 @@ from commsim.circuit import (
     check_pairwise_commuting,
 )
 from commsim import transformers
-from commsim.errors import CapacityExceeded, LightconeTooLarge, NotCommuting, SizeMismatch
+from commsim.errors import (
+    BatchMismatch,
+    CapacityExceeded,
+    LightconeTooLarge,
+    NotCommuting,
+    ProbabilityOutOfRange,
+    SizeMismatch,
+)
 from commsim.estimator import EstimatorConfig
 from commsim.oracle import circuit_unitary, matrix_element, run_circuit
 from commsim.pauli import PauliOperator
 from commsim.stabilizer import CliffordCircuit, conjugate_pauli, random_clifford_circuit
 from commsim.transformers import (
     DenseOracleExecutor,
+    GammaKExecutor,
     alternate_hadamard_test,
     estimate_cd_clifford_overlap,
     estimate_cd_overlap,
@@ -47,15 +57,15 @@ def _overlap(c: Circuit) -> complex:
 
 
 class _RecordingExecutor(DenseOracleExecutor):
-    """Dense executor that keeps every circuit it runs."""
+    """Dense executor that keeps every test it runs, rebuilt as a circuit."""
 
     def __init__(self):
         super().__init__()
         self.tests: list[Circuit] = []
 
-    def run_counts(self, c, shots, rng):
-        self.tests.append(c)
-        return super().run_counts(c, shots, rng)
+    def run_counts_many(self, pool, tests, shots, rng):
+        self.tests += [Circuit(pool.n, pool.d, [pool.gates[i] for i in t]) for t in tests]
+        return super().run_counts_many(pool, tests, shots, rng)
 
 
 class TestHadamardTest:
@@ -161,20 +171,16 @@ class TestExecutor:
     def test_reused_executor_matches_fresh(self, rng):
         g4 = [DenseGate(p, random_unitary(4, rng)) for p in [(0, 1), (2, 3), (1, 2), (0, 3)]]
         g3 = [DenseGate(p, random_unitary(4, rng)) for p in [(0, 1), (1, 2)]]
-        circuits = [
-            Circuit(4, 2, g4),
-            Circuit(4, 2, g4[:2]),
-            Circuit(4, 2, g4[:2] + g4[3:]),
-            Circuit(3, 2, g3),
-            Circuit(4, 2, g4[:3]),
-            Circuit(4, 2, []),
-            Circuit(4, 2, g4[1:]),
-            Circuit(4, 2, g4),
-            Circuit(3, 2, g3[:1]),
+        batches = [
+            (Circuit(4, 2, g4), [(0, 1, 2, 3), (0, 1), (0, 1, 3), (0, 1, 2), (), (1, 2, 3)]),
+            (Circuit(3, 2, g3), [(0, 1), (0,)]),
+            (Circuit(4, 2, g4), [(0, 1, 2, 3), (0, 1, 2), (0, 1, 2, 3)]),
         ]
-        ex = DenseOracleExecutor()
-        for c in circuits:
-            assert ex._p_plus(c) == DenseOracleExecutor()._p_plus(c)
+        ex = DenseOracleExecutor()  # one executor across batches of different shapes
+        for pool, tests in batches:
+            p = ex._p_zero(pool, tests)
+            for t in tests:
+                assert p[t] == DenseOracleExecutor()._p_zero(pool, [t])[t]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_p_plus_is_outcome_zero_weight(self, rng, d):
@@ -182,19 +188,126 @@ class TestExecutor:
             DenseGate(p, random_unitary(d ** len(p), rng))
             for p in [(0, 2), (1, 3), (0, 1, 3), (2,), (0, 3)]
         ]
-        ex = DenseOracleExecutor()
-        for k in (5, 3, 4, 1, 5, 0):  # resumes from saved prefixes in between
-            c = Circuit(4, d, gates[:k])
+        tests = [tuple(range(k)) for k in (5, 3, 4, 1, 5, 0)]  # nested prefixes
+        p = DenseOracleExecutor()._p_zero(Circuit(4, d, gates), tests)
+        for t in tests:
+            c = Circuit(4, d, gates[: len(t)])
             want = np.sum(np.abs(run_circuit(c, 0).tensor()[0]) ** 2)
-            assert ex._p_plus(c) == pytest.approx(want, abs=1e-14)
+            assert p[t] == pytest.approx(want, abs=1e-14)
 
-    def test_saved_states_within_cap(self, rng):
+    def test_saved_states_within_cap(self, rng, monkeypatch):
         gates = [DenseGate(p, random_unitary(4, rng)) for p in [(0, 1), (1, 2), (0, 2)] * 2]
-        ex = DenseOracleExecutor(cap=20)  # room for two saved 8-amplitude states
-        for k in (6, 4, 5, 2, 6):
-            c = Circuit(3, 2, gates[:k])
-            assert ex._p_plus(c) == pytest.approx(DenseOracleExecutor()._p_plus(c), abs=1e-14)
-            assert sum(s.amplitudes.size for _, s in ex._path) <= 20
+        pool = Circuit(3, 2, gates)
+        tests = [tuple(range(k)) for k in (6, 4, 5, 2, 6)]
+        refused = []
+        push = transformers._Held.push
+
+        def checked_push(self, *args):
+            before = len(self.states)
+            push(self, *args)
+            assert self.size == sum(s.amplitudes.size for _, _, s in self.states) <= self.cap
+            refused.append(len(self.states) == before)
+
+        monkeypatch.setattr(transformers._Held, "push", checked_push)
+        p = DenseOracleExecutor(cap=20)._p_zero(pool, tests)  # room for two 8-amplitude states
+        monkeypatch.undo()
+        assert any(refused) and not all(refused)
+        want = DenseOracleExecutor()._p_zero(pool, tests)
+        for t in tests:
+            assert p[t] == pytest.approx(want[t], abs=1e-14)
+
+
+@st.composite
+def _batches(draw):
+    """A random pool and tests with duplicates, empty tests and nested prefixes."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gates = []
+    for _ in range(draw(st.integers(1, 6))):
+        # unsorted qudit tuples, some missing qudit 0, some empty (a phase)
+        q = tuple(draw(st.permutations(range(n)))[: draw(st.integers(0, min(n, 3)))])
+        gates.append(DenseGate(q, random_unitary(d ** len(q), rng)))
+    index = st.integers(0, len(gates) - 1)
+    tests = draw(st.lists(st.lists(index, max_size=5).map(tuple), min_size=1, max_size=8))
+    tests += [t[: draw(st.integers(0, len(t)))] for t in tests]  # prefixes of tests
+    tests += draw(st.lists(st.sampled_from(tests), max_size=3))  # duplicates
+    return Circuit(n, d, gates), draw(st.permutations(tests))
+
+
+class _LoopExecutor(GammaKExecutor):
+    """Keeps the base class's batch fallback, one dense run per test."""
+
+    def run_counts(self, c, shots, rng):
+        return DenseOracleExecutor().run_counts(c, shots, rng)
+
+
+class TestBatchExecutor:
+    @settings(max_examples=60, deadline=None)
+    @given(_batches(), st.data())
+    def test_batch_matches_full_register(self, batch, data):
+        pool, tests = batch
+        ex = DenseOracleExecutor()
+        p = ex._p_zero(pool, tests)
+        for t in tests:
+            c = Circuit(pool.n, pool.d, [pool.gates[i] for i in t])
+            want = np.sum(np.abs(run_circuit(c, 0).tensor()[0]) ** 2)
+            assert p[t] == pytest.approx(want, abs=1e-14)
+        # p of a test depends on its own gates only, whatever the order
+        assert ex._p_zero(pool, data.draw(st.permutations(tests))) == p
+        size = len(tests)
+        shots = data.draw(st.lists(st.integers(0, 50), min_size=size, max_size=size))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        got = ex.run_counts_many(pool, tests, shots, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        one_by_one = [
+            ex.run_counts(Circuit(pool.n, pool.d, [pool.gates[i] for i in t]), k, rng)
+            for t, k in zip(tests, shots)
+        ]
+        assert got == one_by_one
+        loop = _LoopExecutor().run_counts_many(pool, tests, shots, np.random.default_rng(seed))
+        assert loop == got
+
+    @pytest.mark.parametrize("ex", [DenseOracleExecutor(), _LoopExecutor()])
+    @pytest.mark.parametrize("tests,shots", [
+        ([(0, 2)], [5]),  # index past the pool
+        ([(0, -1)], [5]),  # negative index
+        ([(0,), (1,)], [5]),  # fewer shot counts than tests
+        ([(0,)], [5, 5]),
+    ])
+    def test_bad_batch_raises_before_any_state(self, ex, tests, shots, monkeypatch):
+        pool = Circuit(2, 2, [NamedGate("h", (0,)), NamedGate("x", (1,))])
+
+        def no_state(*args):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(transformers, "StateVector", no_state)
+        with pytest.raises(BatchMismatch):
+            ex.run_counts_many(pool, tests, shots, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("scale", [1.1, math.nan])
+    def test_bad_probability_raises(self, scale, monkeypatch):
+        pool = Circuit(2, 2, [DenseGate((0,), np.eye(2, dtype=complex))])
+        gate_matrix = transformers.gate_matrix
+
+        def scaled(g, d):
+            return scale * gate_matrix(g, d)
+
+        monkeypatch.setattr(transformers, "gate_matrix", scaled)
+        ex = DenseOracleExecutor()
+        with pytest.raises(ProbabilityOutOfRange):
+            ex.run_counts_many(pool, [(0,)], [5], np.random.default_rng(0))
+        # a full state that the executor keeps fails the norm check instead
+        with pytest.raises(ValueError, match="state norm"):
+            ex.run_counts_many(pool, [(0, 0)], [5], np.random.default_rng(0))
+
+    def test_capacity_checked_before_any_state(self, monkeypatch):
+        # the touched states would be tiny, but the register holds 2^5 > 16
+        pool = Circuit(5, 2, [NamedGate("h", (0,))])
+        monkeypatch.setattr(transformers, "StateVector", None)
+        ex = DenseOracleExecutor(cap=16)
+        with pytest.raises(CapacityExceeded):
+            ex.run_counts_many(pool, [(0,)], [5], np.random.default_rng(0))
 
 
 class TestOverlapEstimators:
