@@ -20,9 +20,8 @@ from commsim import (
     estimate_cd_overlap,
 )
 from commsim.circuit import NamedGate
-from commsim.oracle import matrix_element
+from commsim.oracle import DenseOracleExecutor, matrix_element
 from commsim.stabilizer import random_clifford_circuit
-from commsim.transformers import DenseOracleExecutor
 
 
 def brickwork(n, depth, rng):

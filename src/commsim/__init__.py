@@ -17,8 +17,6 @@ from .circuit import (
     check_pairwise_commuting,
     parse_circuit,
     serialize_circuit,
-    standard_form,
-    support_lightcone,
 )
 from .errors import (
     BatchMismatch,
@@ -52,6 +50,8 @@ from .local2 import (
     simulate_2local_phase_commuting,
 )
 from .oracle import (
+    DenseOracleExecutor,
+    GammaKExecutor,
     Observable,
     StateVector,
     apply_circuit,
@@ -60,7 +60,6 @@ from .oracle import (
     expectation,
     matrix_element,
     run_circuit,
-    sample_measurement,
 )
 from .pauli import PauliOperator, commutes, format_pauli, multiply, parse_pauli
 from .paulisim import (
@@ -81,8 +80,6 @@ from .stabilizer import (
     synthesize_prep,
 )
 from .transformers import (
-    DenseOracleExecutor,
-    GammaKExecutor,
     alternate_hadamard_test,
     estimate_cd_clifford_overlap,
     estimate_cd_overlap,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LocalityExceeded, NotCommuting, NotHermitian, ParseError
+from .errors import NotCommuting, NotHermitian, ParseError
 from .pauli import PauliOperator, format_pauli, parse_pauli
 
 UNITARY_TOL = 1e-10
@@ -150,19 +150,6 @@ class Circuit:
             if not g.pauli.is_hermitian():
                 raise NotHermitian("exponentiated Pauli must be Hermitian")
 
-    @property
-    def layers(self) -> list[list[Gate]]:
-        sizes = self.layer_sizes if self.layer_sizes is not None else [len(self.gates)]
-        out, pos = [], 0
-        for s in sizes:
-            out.append(self.gates[pos : pos + s])
-            pos += s
-        return out
-
-    @property
-    def depth(self) -> int:
-        return sum(1 for layer in self.layers if layer)
-
 
 # ---------------------------------------------------------------------------
 # dense matrices of gates
@@ -256,60 +243,6 @@ def check_pairwise_commuting(c: Circuit):
         for j in range(i + 1, len(c.gates)):
             if not is_commuting_pair(c.gates[i], c.gates[j], c.d):
                 raise NotCommuting(i, j)
-
-
-# ---------------------------------------------------------------------------
-# standard form and lightcones
-
-
-def standard_form(c: Circuit, k: int) -> Circuit:
-    """Merge commuting gates into at most one dense gate per size-k subset.
-
-    Each gate is assigned the subset obtained by padding its support with the
-    smallest unused qudit indices; merged products follow input order.
-    """
-    if k > c.n:
-        raise ValueError("locality exceeds register size")
-    for idx, g in enumerate(c.gates):
-        if len(g.support) > k:
-            raise LocalityExceeded(f"gate {idx} has support of size {len(g.support)} > {k}")
-    check_pairwise_commuting(c)
-    groups: dict[tuple[int, ...], np.ndarray] = {}
-    order: list[tuple[int, ...]] = []
-    for g in c.gates:
-        sup = set(g.support)
-        for q in range(c.n):
-            if len(sup) == k:
-                break
-            sup.add(q)
-        subset = tuple(sorted(sup))
-        m = embed_matrix(gate_matrix(g, c.d), g.support, subset, c.d)
-        if subset in groups:
-            groups[subset] = m @ groups[subset]
-        else:
-            groups[subset] = m
-            order.append(subset)
-    gates: list[Gate] = [DenseGate(subset, groups[subset]) for subset in sorted(order)]
-    return Circuit(c.n, c.d, gates)
-
-
-def support_lightcone(c: Circuit, qudit: int) -> set[int]:
-    """Backward lightcone of ``qudit`` (0-based) through the declared layers."""
-    layers = c.layers
-    for li, layer in enumerate(layers):
-        seen: set[int] = set()
-        for g in layer:
-            if seen & set(g.support):
-                raise ValueError(f"layer {li} has overlapping gate supports")
-            seen |= set(g.support)
-    cone = {qudit}
-    for layer in reversed(layers):
-        grow = set()
-        for g in layer:
-            if cone & set(g.support):
-                grow |= set(g.support)
-        cone |= grow
-    return cone
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +398,13 @@ def serialize_circuit(c: Circuit) -> str:
     """Emit circuit text that reparses to a structurally identical circuit."""
     head = f"circuit {c.n}" + (f" dim {c.d}" if c.d != 2 else "")
     lines = [head]
-    layers = c.layers
-    for li, layer in enumerate(layers):
+    sizes = c.layer_sizes if c.layer_sizes is not None else [len(c.gates)]
+    pos = 0
+    for li, size in enumerate(sizes):
         if li > 0:
             lines.append("---")
-        for g in layer:
-            lines.append(_format_gate(g))
+        lines += [_format_gate(g) for g in c.gates[pos : pos + size]]
+        pos += size
     return "\n".join(lines) + "\n"
 
 

@@ -23,7 +23,7 @@ from .circuit import Circuit, NamedGate, PauliExpGate, parse_circuit, serialize_
 from .errors import CommsimError, ParseError
 from .estimator import EstimatorConfig
 from .local2 import ProductState, simulate_2local
-from .oracle import DEFAULT_CAP, Observable, expectation, run_circuit
+from .oracle import DEFAULT_CAP, DenseOracleExecutor, Observable, expectation, run_circuit
 from .pauli import PauliOperator, format_pauli, parse_pauli
 from .paulisim import (
     ExtraGate,
@@ -33,7 +33,6 @@ from .paulisim import (
 )
 from .stabilizer import CLIFFORD_GATES, CliffordCircuit, diagonalize_commuting_set
 from .transformers import (
-    DenseOracleExecutor,
     alternate_hadamard_test,
     estimate_cd_clifford_overlap,
     estimate_cd_overlap,

@@ -79,9 +79,6 @@ class PauliOperator:
         """No X part and a real +-1 phase (signed Z-type)."""
         return self.a == 0 and self.t in (0, 2)
 
-    def is_x_type(self) -> bool:
-        return self.b == 0 and self.t in (0, 2)
-
     def sign(self) -> int:
         """+1 or -1 for a phase-free Hermitian operator; raises otherwise."""
         if self.t == 0:

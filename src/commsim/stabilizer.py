@@ -459,12 +459,6 @@ class StabilizerState:
             return 0.0 + 0.0j
         return ay / a0 * 2.0 ** (-aff.s / 2.0)
 
-    def global_phase(self) -> complex:
-        """Phase by which the tracked state differs from the convention."""
-        aff = self.affine_form()
-        a0 = self.amplitude_raw(aff.y0)
-        return a0 / abs(a0)
-
     # -- sampling ------------------------------------------------------
 
     def sample(self, rng: np.random.Generator) -> int:

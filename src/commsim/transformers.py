@@ -7,7 +7,8 @@ the two-layer merge for products of two commuting layers, and on top of
 those, one sampling estimator for |<0|C U|0>|^2 with U of constant depth and
 C a Clifford circuit; the plain |<0|U|0>|^2 estimate is its C = I case.  The
 estimator only ever talks to an executor that returns measurement outcomes,
-never to state amplitudes.
+never to state amplitudes; the executor interface and the statevector
+executor behind it live in :mod:`commsim.oracle`.
 """
 
 from __future__ import annotations
@@ -27,15 +28,10 @@ from .circuit import (
     embed_matrix,
     gate_matrix,
 )
-from .errors import (
-    BatchMismatch,
-    CapacityExceeded,
-    LightconeTooLarge,
-    ProbabilityOutOfRange,
-    SizeMismatch,
-)
+from .errors import CapacityExceeded, LightconeTooLarge, SizeMismatch
 from .estimator import EstimateResult, EstimatorConfig, hoeffding_count
-from .oracle import DEFAULT_CAP, NORM_TOL, StateVector, _check_capacity
+# bench/workloads.py imports DenseOracleExecutor from here and bench/run.py wraps it here
+from .oracle import DenseOracleExecutor, GammaKExecutor  # noqa: F401
 from .pauli import PauliOperator
 from .stabilizer import CliffordCircuit, _conj_rows
 
@@ -48,206 +44,6 @@ _RE_SIGN = (1.0, -1.0, -1.0, 1.0)
 DEFAULT_LIGHTCONE_BOUND = 8
 # the subset sampler draws each subset as one uint64 bit mask
 MAX_SUBSET_QUBITS = 64
-
-
-# ---------------------------------------------------------------------------
-# executors
-
-
-class GammaKExecutor:
-    """Measurement device: runs a circuit on |0...0> and measures Z on qudit 0.
-
-    A batch of tests comes as a pool circuit that holds each distinct gate
-    once and, per test, a tuple of indices into the pool; the register and
-    each pooled gate are checked once, by the pool.
-    """
-
-    def run(self, c: Circuit, shots: int, rng: np.random.Generator) -> np.ndarray:
-        """Array of ``shots`` outcomes, each +1 or -1."""
-        raise NotImplementedError
-
-    def run_counts(self, c: Circuit, shots: int, rng: np.random.Generator) -> int:
-        """Number of +1 outcomes among ``shots``; override for a fast path."""
-        return int(np.sum(self.run(c, shots, rng) == 1))
-
-    def run_counts_many(
-        self,
-        pool: Circuit,
-        tests: list[tuple[int, ...]],
-        shots: list[int],
-        rng: np.random.Generator,
-    ) -> list[int]:
-        """``run_counts`` of each test's pool gates, in input order."""
-        tests = _check_batch(pool, tests, shots)
-        return [
-            self.run_counts(Circuit(pool.n, pool.d, [pool.gates[i] for i in t]), k, rng)
-            for t, k in zip(tests, shots)
-        ]
-
-
-def _check_batch(pool: Circuit, tests, shots) -> list[tuple[int, ...]]:
-    if len(tests) != len(shots):
-        raise BatchMismatch(f"{len(tests)} tests but {len(shots)} shot counts")
-    tests = [tuple(t) for t in tests]
-    m = len(pool.gates)
-    for t in tests:
-        if t and not (min(t) >= 0 and max(t) < m):
-            raise BatchMismatch(f"test {t} names a gate outside the pool of {m}")
-    return tests
-
-
-class DenseOracleExecutor(GammaKExecutor):
-    """Backs the executor interface with the statevector simulator.
-
-    A batch visits its distinct tests in lexicographic order of their index
-    tuples, a depth-first walk of their prefix trie, so each distinct gate
-    prefix is applied once.  A state holds only the qudits its gates have
-    touched, in ascending order; the others are still |0> and leave p(0)
-    alone.  p(0) of a test comes from the state before its last gate, by
-    :func:`_last_weight`, so it does not depend on the other tests in the
-    batch; the state after that gate is built and held only when the next
-    test extends the test.  The executor keeps nothing between calls; within
-    a call, ``cap`` bounds the full register and the total size of the
-    states held for later tests.
-    """
-
-    def __init__(self, cap: int | None = None):
-        self.cap = DEFAULT_CAP if cap is None else cap
-
-    def _p_zero(
-        self, pool: Circuit, tests: list[tuple[int, ...]]
-    ) -> dict[tuple[int, ...], float]:
-        """p(0) of qudit 0 after each distinct test, from |0...0>."""
-        _check_capacity(pool.n, pool.d, self.cap)
-        d = pool.d
-        order = sorted(set(tests))
-        held = _Held(self.cap, StateVector(0, d, np.ones(1, dtype=complex)))
-        p = {}
-        for i, t in enumerate(order):
-            share = _common_prefix(t, order[i + 1] if i + 1 < len(order) else ())
-            # later tests share at most `share` leading gates with this one
-            depth, axes, s = held.states[-1]
-            for j in range(depth, len(t) - 1):
-                axes, s = _apply_touched(axes, s, pool.gates[t[j]], d)
-                if j < share:
-                    held.push(j + 1, axes, s)
-            if not t:
-                p[t] = 1.0  # no gate has touched qudit 0
-            else:
-                g = pool.gates[t[-1]]
-                p[t] = _last_weight(axes, s, g, d)
-                if share == len(t):  # the next test extends this one
-                    held.push(len(t), *_apply_touched(axes, s, g, d))
-            held.pop_above(share)
-        return p
-
-    def run(self, c: Circuit, shots: int, rng: np.random.Generator) -> np.ndarray:
-        t = tuple(range(len(c.gates)))
-        p = self._p_zero(c, [t])[t]
-        return np.where(rng.random(shots) < p, 1, -1)
-
-    def run_counts(self, c: Circuit, shots: int, rng: np.random.Generator) -> int:
-        return self.run_counts_many(c, [tuple(range(len(c.gates)))], [shots], rng)[0]
-
-    def run_counts_many(
-        self,
-        pool: Circuit,
-        tests: list[tuple[int, ...]],
-        shots: list[int],
-        rng: np.random.Generator,
-    ) -> list[int]:
-        tests = _check_batch(pool, tests, shots)
-        p = self._p_zero(pool, tests)
-        # every p depends on its own gates only, so drawing after the walk
-        # and in input order spends the rng as test-by-test runs would
-        return [int(rng.binomial(k, p[t])) for t, k in zip(tests, shots)]
-
-
-class _Held:
-    """States along the current test, shallowest first; ``cap`` amplitudes in all."""
-
-    def __init__(self, cap: int, root: StateVector):
-        self.cap = cap
-        self.states: list[tuple[int, tuple[int, ...], StateVector]] = [(0, (), root)]
-        self.size = root.amplitudes.size
-
-    def push(self, depth: int, axes: tuple[int, ...], s: StateVector):
-        if self.size + s.amplitudes.size <= self.cap:
-            self.states.append((depth, axes, s))
-            self.size += s.amplitudes.size
-
-    def pop_above(self, depth: int):
-        while self.states[-1][0] > depth:
-            self.size -= self.states.pop()[2].amplitudes.size
-
-
-def _common_prefix(a: tuple, b: tuple) -> int:
-    k = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        k += 1
-    return k
-
-
-def _gate_product(axes: tuple[int, ...], s: StateVector, g: Gate, d: int, half: bool = False):
-    """``g`` times a state over the touched ``axes``, as a (rows, rest) matrix.
-
-    Returns the product and the qudits along its columns; its rows follow
-    the gate's axes.  Gate qudits not yet touched are |0>, so only the matrix
-    columns where they read 0 take part.  ``half`` keeps the rows where the
-    leading gate qudit reads 0.
-    """
-    sup = g.support
-    m = gate_matrix(g, d)
-    if half:
-        m = m[: m.shape[0] // d]
-    if any(q not in axes for q in sup):
-        cols = tuple(slice(None) if q in axes else 0 for q in sup)
-        m = m.reshape((m.shape[0],) + (d,) * len(sup))[(slice(None), *cols)]
-        m = m.reshape(m.shape[0], -1)
-    rest = [i for i, q in enumerate(axes) if q not in sup]
-    perm = [axes.index(q) for q in sup if q in axes] + rest
-    x = s.tensor().transpose(perm).reshape(m.shape[1], -1)
-    return m @ x, [axes[i] for i in rest]
-
-
-def _apply_touched(axes: tuple[int, ...], s: StateVector, g: Gate, d: int):
-    """``g`` on the state, whose axes then cover the union of both supports, sorted."""
-    out, rest = _gate_product(axes, s, g, d)
-    labels = (*g.support, *rest)
-    new = tuple(sorted(labels))
-    out = out.reshape((d,) * len(labels)).transpose([labels.index(q) for q in new])
-    return new, StateVector(len(new), d, out.reshape(-1))
-
-
-def _last_weight(axes: tuple[int, ...], s: StateVector, g: Gate, d: int) -> float:
-    """p(0) after ``g``, computed from the state before it.
-
-    A gate that misses qudit 0 leaves p(0) as it was; when qudit 0 leads the
-    gate's axes, the rows where it reads 0 are all that p(0) needs.  So p of
-    a test depends on its own gates only, not on which tests ran with it.
-    """
-    sup = g.support
-    if 0 not in sup:
-        return _zero_weight(axes, s, d)
-    if sup[0] == 0:
-        return _checked_weight(_gate_product(axes, s, g, d, half=True)[0])
-    return _zero_weight(*_apply_touched(axes, s, g, d), d)
-
-
-def _zero_weight(axes: tuple[int, ...], s: StateVector, d: int) -> float:
-    # qudit 0 is the most significant touched digit, so its outcome 0 is
-    # the leading size/d amplitudes; an untouched qudit 0 is still |0>
-    a = s.amplitudes
-    return _checked_weight(a[: a.size // d] if axes[:1] == (0,) else a)
-
-
-def _checked_weight(h: np.ndarray) -> float:
-    p = float(np.vdot(h, h).real)
-    if not p <= 1.0 + NORM_TOL:  # NaN fails too
-        raise ProbabilityOutOfRange(f"outcome probability {p} is not in [0, 1]")
-    return min(1.0, p)
 
 
 # ---------------------------------------------------------------------------

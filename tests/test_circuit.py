@@ -1,4 +1,4 @@
-"""Circuit IR: gate matrices, commutation checks, text format, lightcones."""
+"""Circuit IR: gate matrices, commutation checks, text format."""
 
 import math
 
@@ -22,11 +22,8 @@ from commsim.circuit import (
     is_commuting_pair,
     parse_circuit,
     serialize_circuit,
-    standard_form,
-    support_lightcone,
 )
-from commsim.errors import LocalityExceeded, NotCommuting, ParseError
-from commsim.oracle import circuit_unitary
+from commsim.errors import NotCommuting, ParseError
 from commsim.pauli import parse_pauli
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -119,60 +116,6 @@ class TestCommutation:
 
     def test_commuting_pauli_exp_circuit_passes(self, rng):
         check_pairwise_commuting(commuting_pauli_exp_circuit(5, 6, rng))
-
-
-class TestStandardForm:
-    def test_merges_shared_support(self, rng):
-        c = Circuit(
-            3,
-            2,
-            [
-                NamedGate("cz", (0, 1)),
-                NamedGate("z", (0,)),
-                NamedGate("cz", (0, 1)),
-                NamedGate("cz", (1, 2)),
-            ],
-        )
-        sf = standard_form(c, 2)
-        assert len(sf.gates) <= 3
-        assert np.allclose(circuit_unitary(sf), circuit_unitary(c), atol=1e-10)
-
-    def test_unitary_preserved_random(self, rng):
-        for _ in range(10):
-            c = commuting_pauli_exp_circuit(4, 6, rng)
-            sf = standard_form(c, 2)
-            supports = [g.support for g in sf.gates]
-            assert len(set(supports)) == len(supports)
-            assert all(len(s) == 2 for s in supports)
-            assert np.allclose(circuit_unitary(sf), circuit_unitary(c), atol=1e-9)
-
-    def test_locality_error(self):
-        c = Circuit(3, 2, [PauliExpGate(0.1, parse_pauli("ZZZ"))])
-        with pytest.raises(LocalityExceeded):
-            standard_form(c, 2)
-
-    def test_noncommuting_rejected(self):
-        c = Circuit(2, 2, [NamedGate("x", (0,)), NamedGate("z", (0,))])
-        with pytest.raises(NotCommuting):
-            standard_form(c, 2)
-
-
-class TestLightcone:
-    def test_two_layers(self):
-        c = parse_circuit(
-            "circuit 4\ncz 1 2\ncz 3 4\n---\ncz 2 3\n"
-        )
-        assert support_lightcone(c, 0) == {0, 1}
-        assert support_lightcone(c, 2) == {0, 1, 2, 3}
-
-    def test_single_layer_is_direct_support(self):
-        c = parse_circuit("circuit 3\ncz 1 2\n")
-        assert support_lightcone(c, 2) == {2}
-
-    def test_overlapping_layer_rejected(self):
-        c = Circuit(2, 2, [NamedGate("z", (0,)), NamedGate("cz", (0, 1))])
-        with pytest.raises(ValueError):
-            support_lightcone(c, 0)
 
 
 class TestTextFormat:

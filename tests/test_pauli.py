@@ -100,7 +100,6 @@ class TestPredicates:
     def test_z_and_x_type(self):
         assert parse_pauli("-ZZ").is_z_type()
         assert not parse_pauli("iZ", 1).is_z_type()
-        assert parse_pauli("XX").is_x_type()
         assert not parse_pauli("Y", 1).is_z_type()
 
     def test_sign(self):

@@ -270,11 +270,6 @@ class TestEvolve:
         a0 = s.amplitude(aff.y0)
         assert a0.imag == pytest.approx(0.0, abs=1e-12)
         assert a0.real == pytest.approx(2.0 ** (-aff.s / 2))
-        # global_phase relates raw and conventional amplitudes
-        y = s.sample(rng)
-        assert s.amplitude(y, phased=True) == pytest.approx(
-            s.amplitude(y) * s.global_phase()
-        )
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 33, 64, 70])
     def test_affine_basis_is_reduced_basis(self, n, rng):

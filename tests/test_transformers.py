@@ -18,8 +18,10 @@ from commsim.circuit import (
     DenseGate,
     NamedGate,
     check_pairwise_commuting,
+    embed_matrix,
+    gate_matrix,
 )
-from commsim import transformers
+from commsim import oracle, transformers
 from commsim.errors import (
     BatchMismatch,
     CapacityExceeded,
@@ -29,12 +31,10 @@ from commsim.errors import (
     SizeMismatch,
 )
 from commsim.estimator import EstimatorConfig
-from commsim.oracle import circuit_unitary, matrix_element, run_circuit
+from commsim.oracle import DenseOracleExecutor, GammaKExecutor, matrix_element, run_circuit
 from commsim.pauli import PauliOperator
 from commsim.stabilizer import CliffordCircuit, conjugate_pauli, random_clifford_circuit
 from commsim.transformers import (
-    DenseOracleExecutor,
-    GammaKExecutor,
     alternate_hadamard_test,
     estimate_cd_clifford_overlap,
     estimate_cd_overlap,
@@ -54,6 +54,20 @@ def _p0(test: Circuit) -> float:
 
 def _overlap(c: Circuit) -> complex:
     return matrix_element(c, "0" * c.n, "0" * c.n)
+
+
+def _embedded_p0(pool: Circuit, test: tuple[int, ...]) -> float:
+    """p(0) of qudit 0 after a test, each gate embedded on the whole register.
+
+    Independent of the oracle's gate kernel, which the executor shares.
+    """
+    n, d = pool.n, pool.d
+    v = np.zeros(d**n, dtype=complex)
+    v[0] = 1.0
+    for i in test:
+        g = pool.gates[i]
+        v = embed_matrix(gate_matrix(g, d), g.support, tuple(range(n)), d) @ v
+    return float(np.sum(np.abs(v[: d ** (n - 1)]) ** 2))
 
 
 class _RecordingExecutor(DenseOracleExecutor):
@@ -157,10 +171,9 @@ class TestTwoLayerMerge:
 class TestExecutor:
     def test_outcomes_follow_born_rule(self, rng):
         c = Circuit(2, 2, [NamedGate("h", (0,))])
-        ex = DenseOracleExecutor()
-        outs = ex.run(c, 2000, rng)
-        assert set(np.unique(outs)) <= {-1, 1}
-        assert abs(np.mean(outs == 1) - 0.5) < 0.05
+        hits = DenseOracleExecutor().run_counts(c, 2000, rng)
+        assert 0 <= hits <= 2000
+        assert abs(hits / 2000 - 0.5) < 0.05
 
     def test_counts_match_probability(self, rng):
         c = Circuit(1, 2, [NamedGate("x", (0,))])
@@ -189,18 +202,17 @@ class TestExecutor:
             for p in [(0, 2), (1, 3), (0, 1, 3), (2,), (0, 3)]
         ]
         tests = [tuple(range(k)) for k in (5, 3, 4, 1, 5, 0)]  # nested prefixes
-        p = DenseOracleExecutor()._p_zero(Circuit(4, d, gates), tests)
+        pool = Circuit(4, d, gates)
+        p = DenseOracleExecutor()._p_zero(pool, tests)
         for t in tests:
-            c = Circuit(4, d, gates[: len(t)])
-            want = np.sum(np.abs(run_circuit(c, 0).tensor()[0]) ** 2)
-            assert p[t] == pytest.approx(want, abs=1e-14)
+            assert p[t] == pytest.approx(_embedded_p0(pool, t), abs=1e-14)
 
     def test_saved_states_within_cap(self, rng, monkeypatch):
         gates = [DenseGate(p, random_unitary(4, rng)) for p in [(0, 1), (1, 2), (0, 2)] * 2]
         pool = Circuit(3, 2, gates)
         tests = [tuple(range(k)) for k in (6, 4, 5, 2, 6)]
         refused = []
-        push = transformers._Held.push
+        push = oracle._Held.push
 
         def checked_push(self, *args):
             before = len(self.states)
@@ -208,7 +220,7 @@ class TestExecutor:
             assert self.size == sum(s.amplitudes.size for _, _, s in self.states) <= self.cap
             refused.append(len(self.states) == before)
 
-        monkeypatch.setattr(transformers._Held, "push", checked_push)
+        monkeypatch.setattr(oracle._Held, "push", checked_push)
         p = DenseOracleExecutor(cap=20)._p_zero(pool, tests)  # room for two 8-amplitude states
         monkeypatch.undo()
         assert any(refused) and not all(refused)
@@ -250,9 +262,7 @@ class TestBatchExecutor:
         ex = DenseOracleExecutor()
         p = ex._p_zero(pool, tests)
         for t in tests:
-            c = Circuit(pool.n, pool.d, [pool.gates[i] for i in t])
-            want = np.sum(np.abs(run_circuit(c, 0).tensor()[0]) ** 2)
-            assert p[t] == pytest.approx(want, abs=1e-14)
+            assert p[t] == pytest.approx(_embedded_p0(pool, t), abs=1e-14)
         # p of a test depends on its own gates only, whatever the order
         assert ex._p_zero(pool, data.draw(st.permutations(tests))) == p
         size = len(tests)
@@ -281,19 +291,17 @@ class TestBatchExecutor:
         def no_state(*args):
             raise AssertionError("a state was built")
 
-        monkeypatch.setattr(transformers, "StateVector", no_state)
+        monkeypatch.setattr(oracle, "StateVector", no_state)
         with pytest.raises(BatchMismatch):
             ex.run_counts_many(pool, tests, shots, np.random.default_rng(0))
 
     @pytest.mark.parametrize("scale", [1.1, math.nan])
     def test_bad_probability_raises(self, scale, monkeypatch):
         pool = Circuit(2, 2, [DenseGate((0,), np.eye(2, dtype=complex))])
-        gate_matrix = transformers.gate_matrix
-
         def scaled(g, d):
             return scale * gate_matrix(g, d)
 
-        monkeypatch.setattr(transformers, "gate_matrix", scaled)
+        monkeypatch.setattr(oracle, "gate_matrix", scaled)
         ex = DenseOracleExecutor()
         with pytest.raises(ProbabilityOutOfRange):
             ex.run_counts_many(pool, [(0,)], [5], np.random.default_rng(0))
@@ -304,7 +312,7 @@ class TestBatchExecutor:
     def test_capacity_checked_before_any_state(self, monkeypatch):
         # the touched states would be tiny, but the register holds 2^5 > 16
         pool = Circuit(5, 2, [NamedGate("h", (0,))])
-        monkeypatch.setattr(transformers, "StateVector", None)
+        monkeypatch.setattr(oracle, "StateVector", None)
         ex = DenseOracleExecutor(cap=16)
         with pytest.raises(CapacityExceeded):
             ex.run_counts_many(pool, [(0,)], [5], np.random.default_rng(0))
