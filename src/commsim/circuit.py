@@ -46,18 +46,21 @@ class NamedGate:
 
 @dataclass(frozen=True)
 class DenseGate:
-    """Explicit unitary on ``qudits`` (sorted); axes follow that order.
+    """Explicit unitary on ``qudits``; the matrix's axes follow the given order.
 
-    The qudits (distinct, non-negative) and the matrix's unitarity are
-    checked once, here, and the matrix is kept as a read-only copy, so a
-    constructed gate stays valid and its identity can key caches.
+    The gate stores its qudits sorted and its matrix permuted to match, so
+    ``qudits`` is the sorted support and ``matrix`` has the sorted axis order
+    every kernel assumes.  The qudits (distinct, non-negative) and the
+    matrix's unitarity are checked once, here, and the matrix is kept as a
+    read-only copy, so a constructed gate stays valid and its identity can
+    key caches.
     """
 
     qudits: tuple[int, ...]
     matrix: np.ndarray = field(hash=False)
 
     def __post_init__(self):
-        q = self.qudits
+        q = tuple(self.qudits)
         if len(set(q)) != len(q):
             raise ValueError("gate support indices must be distinct")
         if q and min(q) < 0:
@@ -65,6 +68,13 @@ class DenseGate:
         m = np.array(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"dense matrix of shape {m.shape} is not square")
+        if list(q) != sorted(q):
+            d = round(m.shape[0] ** (1 / len(q)))
+            if d ** len(q) != m.shape[0]:
+                raise ValueError(f"a {m.shape[0]}-wide matrix fits no {len(q)} equal qudits")
+            m = _permute_axes(m, q, tuple(sorted(q)), d)
+            q = tuple(sorted(q))
+        object.__setattr__(self, "qudits", q)
         with np.errstate(invalid="ignore", over="ignore"):  # inf entries give NaN
             err = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
         if not err <= UNITARY_TOL:  # NaN fails too
@@ -364,9 +374,6 @@ def _parse_gate_line(line: str, no: int, n: int, d: int) -> Gate:
         except ValueError:
             raise ParseError(no, "bad float literal in dense gate") from None
         m = (flat[0::2] + 1j * flat[1::2]).reshape(dim, dim)
-        if list(qudits) != sorted(qudits):
-            m = _permute_axes(m, qudits, tuple(sorted(qudits)), d)
-            qudits = tuple(sorted(qudits))
         try:
             return DenseGate(qudits, m)
         except ValueError as exc:

@@ -8,10 +8,20 @@ states of equal support modulus, the importance-sampling variable
 
 has modulus 0 or 1 and mean ``<psi|M|phi>``, so a plain Hoeffding-sized mean
 meets an (epsilon, delta) contract.
+
+Every monomial here is a Pauli, a diagonal ``e^{i theta Q}`` or a product of
+them.  A product applied right to left flips y by the XOR of its Paulis' X
+parts, and its phase is a constant times one unit factor w_j for each factor
+j whose Z mask b_j has odd parity on y: a Pauli's X shift only flips the sign
+of the factors after it, so every parity is read at the input y.  The phase
+of a sample batch is then read through byte tables (one gather from the bytes
+of y to the parity word, one complex product per byte of that word), with no
+per-factor pass over the samples and no ``exp``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass
@@ -20,7 +30,7 @@ import numpy as np
 
 from .errors import SizeMismatch, ZeroAmplitudeSample
 from .pauli import _I4, PauliOperator
-from .stabilizer import StabilizerState
+from .stabilizer import StabilizerState, _byte_table, _word_bytes, _xor_lookup
 
 MODULUS_TOL = 1e-12
 # largest sample count numpy's samplers take
@@ -82,21 +92,46 @@ class EstimateResult:
 
 
 class MonomialOperator:
-    """Interface: ``M|y> = eval_phase_many(y) |permute_many(y)>`` with unit phases.
+    """``M|y> = c prod_j w_j^{parity(b_j & y)} |y ^ a>`` with c and every w_j unit.
 
-    Both methods act on uint64 arrays of basis states (n <= 64).
+    Every monomial here is a Pauli, a diagonal Z exponential or a product of
+    them: it flips the fixed X mask ``shift`` (a), and :meth:`phase_form`
+    gives its phase as (c, [b_j], [w_j]), every parity read at the input y.
+    The vectorized methods act on uint64 arrays of basis states (n <= 64).
     """
 
     n: int
+    shift: int
 
     def adjoint(self) -> "MonomialOperator":
         raise NotImplementedError
 
-    def eval_phase_many(self, ys: np.ndarray) -> np.ndarray:
+    def phase_form(self) -> tuple[complex, list[int], list[complex]]:
         raise NotImplementedError
 
+    def eval_phase_many(self, ys: np.ndarray) -> np.ndarray:
+        """The phase on each y, through byte tables.
+
+        For each run of up to 64 factors, one gather table maps the bytes of
+        y to the parity word (bit j = parity(b_j & y)), and one product table
+        per byte of that word maps it to the product of its factors' w_j.
+        """
+        c, masks, ws = self.phase_form()
+        yb = _word_bytes(ys)
+        out = np.full(len(ys), c, dtype=complex)
+        qubits = np.arange(self.n, dtype=np.uint64)
+        for lo in range(0, len(masks), 64):
+            b = np.array(masks[lo : lo + 64], dtype=np.uint64)
+            bits = (b[:, None] >> qubits) & np.uint64(1)
+            # bit j of cols[q] is factor j's Z bit on qubit q
+            cols = np.bitwise_or.reduce(bits << np.arange(len(b), dtype=np.uint64)[:, None])
+            par = _word_bytes(_xor_lookup(_byte_table(cols), yb))
+            for u, row in enumerate(_byte_table(ws[lo : lo + 64], np.multiply)):
+                out *= row.take(par[:, u])
+        return out
+
     def permute_many(self, ys: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return ys ^ np.uint64(self.shift)
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix for desk-scale checks; qubit 0 is bit 0 of the index."""
@@ -106,30 +141,28 @@ class MonomialOperator:
         return m
 
 
-def _parity_many(xs: np.ndarray, mask: int) -> np.ndarray:
-    return np.bitwise_count(xs & np.uint64(mask)).astype(np.int64) & 1
-
-
 class PauliMonomial(MonomialOperator):
     """A Pauli operator viewed as a monomial: phase i^t (-1)^{b.y}, flip by a."""
 
     def __init__(self, p: PauliOperator):
         self.p = p
         self.n = p.n
+        self.shift = p.a
 
     def adjoint(self) -> "PauliMonomial":
         return PauliMonomial(self.p.adjoint())
 
-    def eval_phase_many(self, ys: np.ndarray) -> np.ndarray:
-        k = (self.p.t + 2 * _parity_many(ys, self.p.b)) % 4
-        return np.array(_I4)[k]
+    def phase_form(self) -> tuple[complex, list[int], list[complex]]:
+        return _I4[self.p.t], [self.p.b], [-1 + 0j]
 
-    def permute_many(self, ys: np.ndarray) -> np.ndarray:
-        return ys ^ np.uint64(self.p.a)
+    # the benchmark's trace hooks wrap this entry in each class's own body
+    eval_phase_many = MonomialOperator.eval_phase_many
 
 
 class DiagonalZExp(MonomialOperator):
     """``e^{i theta Q}`` for a signed Z-type Pauli Q; diagonal, phases e^{+-i theta}."""
+
+    shift = 0
 
     def __init__(self, theta: float, q: PauliOperator):
         if not q.is_z_type():
@@ -141,16 +174,10 @@ class DiagonalZExp(MonomialOperator):
     def adjoint(self) -> "DiagonalZExp":
         return DiagonalZExp(-self.theta, self.q)
 
-    def angle_many(self, ys: np.ndarray) -> np.ndarray:
-        """theta times the eigenvalue of Q on each basis state."""
-        s = -self.theta if self.q.t == 2 else self.theta
-        return s * (1 - 2 * _parity_many(ys, self.q.b))
-
-    def eval_phase_many(self, ys: np.ndarray) -> np.ndarray:
-        return np.exp(1j * self.angle_many(ys))
-
-    def permute_many(self, ys: np.ndarray) -> np.ndarray:
-        return ys
+    def phase_form(self) -> tuple[complex, list[int], list[complex]]:
+        # e^{i s theta (1 - 2 parity(b.y))} with s the sign of Q
+        angle = -self.theta if self.q.t == 2 else self.theta
+        return cmath.exp(1j * angle), [self.q.b], [cmath.exp(-2j * angle)]
 
 
 class Composition(MonomialOperator):
@@ -163,26 +190,30 @@ class Composition(MonomialOperator):
         self.n = ops[0].n
         if any(m.n != self.n for m in ops):
             raise SizeMismatch("composed monomials act on different registers")
+        self.shift = 0
+        for m in ops:
+            self.shift ^= m.shift
 
     def adjoint(self) -> "Composition":
         return Composition([m.adjoint() for m in reversed(self.ops)])
 
-    def eval_phase_many(self, ys: np.ndarray) -> np.ndarray:
-        # diagonal factors add their angles; one exp covers all of them
-        phase = np.ones(ys.shape, dtype=complex)
-        angle = np.zeros(ys.shape)
+    def phase_form(self) -> tuple[complex, list[int], list[complex]]:
+        # a factor sees y ^ s, s the X shifts of the factors applied before it;
+        # where parity(b & s) = 1, w^{parity(b & (y ^ s))} = w conj(w)^{parity(b & y)}
+        c, masks, ws, s = 1 + 0j, [], [], 0
         for m in reversed(self.ops):
-            if isinstance(m, DiagonalZExp):
-                angle += m.angle_many(ys)
-            else:
-                phase *= m.eval_phase_many(ys)
-                ys = m.permute_many(ys)
-        return phase * np.exp(1j * angle)
+            mc, mb, mw = m.phase_form()
+            c *= mc
+            for b, w in zip(mb, mw):
+                if (b & s).bit_count() & 1:
+                    c *= w
+                    w = w.conjugate()
+                masks.append(b)
+                ws.append(w)
+            s ^= m.shift
+        return c, masks, ws
 
-    def permute_many(self, ys: np.ndarray) -> np.ndarray:
-        for m in reversed(self.ops):
-            ys = m.permute_many(ys)
-        return ys
+    eval_phase_many = MonomialOperator.eval_phase_many
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ expand as cos(theta) I + i sin(theta) Q; moving each chosen Q to the input
 side flips the sign of the members it anticommutes with, so every branch a is
 a coefficient c_a times C D_a C^dag Sigma_a.  The observable then becomes a
 sum over branch pairs (a, b) of monomial sandwiches
-conj(c_a mu_a) c_b mu_b <psi_a| M_ab |psi_b> between Clifford-evolved basis
-states, where M_ab keeps only the diagonal factors that do not cancel.
+conj(c_a) c_b <psi_a| M_ab |psi_b>, where M_ab keeps only the diagonal
+factors that do not cancel.  The branch states psi_a = C^dag Sigma_a |x> are
+not evolved one by one: C^dag|x> is evolved once, and psi_a is its exact
+image under the Pauli C^dag Sigma_a C, whose generators, affine form and
+byte tables differ from it only in signs and a shifted support.
 
 All pairs are estimated as one mean: a pair is drawn with probability
 |c_a c_b| / W^2, W = sum_a |c_a| = prod_j (|cos theta_j| + |sin theta_j|),
@@ -147,42 +150,7 @@ def simulate_noncommuting_pauli(
     # sign of conjugating each member's exponent past the observable Pauli
     # (commutation is Clifford-invariant, so compare in the diagonal frame)
     f_obs = [1 if commutes(d.q, p_obs) else -1 for d in diag]
-    # slot index of each member/extra in program order, for sign bookkeeping
-    member_pos = [i for i, g in enumerate(program) if isinstance(g, MemberGate)]
-    extra_pos = [i for i, g in enumerate(program) if isinstance(g, ExtraGate)]
-    xv = _as_int_label(x, n)
-    c_inv = c.inverse()
-    psi_cache = {}
-
-    branches = []  # (|c_a|, unit phase of c_a mu_a, member signs s[j], C^dag Sigma_a|x>)
-    for choice in itertools.product((0, 1), repeat=k):
-        coeff = 1 + 0j
-        sigma = PauliOperator.identity(n)
-        for take, g in zip(choice, extras):
-            if take:
-                coeff *= 1j * np.sin(g.theta)
-            else:
-                coeff *= np.cos(g.theta)
-        if coeff == 0:
-            continue
-        # chosen extras commute to the front (input side); each member applied
-        # before a chosen extra picks up that extra's anticommutation sign
-        signs = []
-        for j, g in enumerate(members):
-            s = 1
-            for l in range(k):
-                if choice[l] and extra_pos[l] > member_pos[j]:
-                    if not commutes(g.pauli, extras[l].pauli):
-                        s = -s
-            signs.append(s)
-        for l in reversed(range(k)):  # later extras end up on the left
-            if choice[l]:
-                sigma = multiply(sigma, extras[l].pauli)
-        mu, z = sigma.act_on_basis(xv)
-        if z not in psi_cache:
-            psi_cache[z] = evolve(z, c_inv)
-        branches.append((abs(coeff), coeff * mu / abs(coeff), signs, psi_cache[z]))
-
+    branches = _branches(program, c, _as_int_label(x, n))
     weight = sum(b[0] for b in branches)
     if cfg.k_override is not None:
         k_total = cfg.k_override
@@ -220,3 +188,41 @@ def simulate_noncommuting_pauli(
         elapsed_ms=(time.perf_counter() - t0) * 1e3,
         max_modulus_violation=max_violation,
     )
+
+
+def _branches(program, c: CliffordCircuit, xv: int) -> list:
+    """(|c_a|, c_a / |c_a|, member signs, C^dag Sigma_a |x>) per branch with c_a != 0.
+
+    Branches come in ``itertools.product`` order of the extras' choices.
+    ``C^dag|x>`` is evolved once; each branch state is its exact image under
+    C^dag Sigma_a C, the product of the chosen extras' images.
+    """
+    members = [(i, g) for i, g in enumerate(program) if isinstance(g, MemberGate)]
+    extras = [(i, g) for i, g in enumerate(program) if isinstance(g, ExtraGate)]
+    psi0 = evolve(xv, c.inverse())
+    images = [conjugate_pauli(c, g.pauli, "inverse") for _, g in extras]
+    branches = []
+    for choice in itertools.product((0, 1), repeat=len(extras)):
+        coeff = 1 + 0j
+        for take, (_, g) in zip(choice, extras):
+            if take:
+                coeff *= 1j * np.sin(g.theta)
+            else:
+                coeff *= np.cos(g.theta)
+        if coeff == 0:
+            continue
+        # chosen extras commute to the front (input side); each member applied
+        # before a chosen extra picks up that extra's anticommutation sign
+        signs = []
+        for j, g in members:
+            s = 1
+            for take, (l, e) in zip(choice, extras):
+                if take and l > j and not commutes(g.pauli, e.pauli):
+                    s = -s
+            signs.append(s)
+        sigma = PauliOperator.identity(c.n)
+        for take, image in reversed(list(zip(choice, images))):  # later extras on the left
+            if take:
+                sigma = multiply(sigma, image)
+        branches.append((abs(coeff), coeff / abs(coeff), signs, psi0.apply_pauli(sigma)))
+    return branches

@@ -22,13 +22,16 @@ and reads the phase as a linear plus quadratic form in x (the affine form
 of Dehaene and De Moor, quant-ph/0304125).  :func:`evolve` moves the
 anchor through monomial gates and conjugates the generators only at each
 ``h``, where one X-block elimination gives both the new anchor and the new
-state's affine form.  The affine form and prep synthesis share that
+state's affine form.  :meth:`StabilizerState.apply_pauli` needs no
+elimination: a Pauli image keeps the affine form and byte tables up to signs
+and a shifted support.  The affine form and prep synthesis share that
 elimination, ``_reduce_x_block``; basis labels are ints with bit k = qubit k,
 or digit strings read by :func:`oracle.parse_basis_label`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -262,16 +265,19 @@ class _AffineForm:
         return len(self.movers)
 
 
-def _byte_table(vals: list[int]) -> np.ndarray:
-    """Row u, entry b: the XOR of vals[8u + p] over the set bits p of b.
+def _byte_table(vals, op=np.bitwise_xor) -> np.ndarray:
+    """Row u, entry b: ``op`` over vals[8u + p] for the set bits p of b.
 
-    There is at least one row, so an empty ``vals`` maps every byte to 0.
+    ``op`` is ``np.bitwise_xor`` on uint64 words or ``np.multiply`` on
+    complex numbers.  There is at least one row, so an empty ``vals`` maps
+    every byte to the identity of ``op``.
     """
-    v = np.zeros((max(1, -(-len(vals) // 8)), 8), dtype=np.uint64)
+    dtype = np.uint64 if op is np.bitwise_xor else complex
+    v = np.full((max(1, -(-len(vals) // 8)), 8), op.identity, dtype=dtype)
     v.flat[: len(vals)] = vals
-    tab = np.zeros((len(v), 256), dtype=np.uint64)
+    tab = np.full((len(v), 256), op.identity, dtype=dtype)
     for p in range(8):
-        tab[:, 1 << p : 2 << p] = tab[:, : 1 << p] ^ v[:, p : p + 1]
+        tab[:, 1 << p : 2 << p] = op(tab[:, : 1 << p], v[:, p : p + 1])
     return tab
 
 
@@ -458,6 +464,39 @@ class StabilizerState:
         if ay == 0:
             return 0.0 + 0.0j
         return ay / a0 * 2.0 ** (-aff.s / 2.0)
+
+    def apply_pauli(self, p: PauliOperator) -> "StabilizerState":
+        """``P|psi>`` with its exact global phase.
+
+        Generators that anticommute with P flip sign, the anchor moves by P's
+        X part, and its amplitude picks up P's phase i^{t + 2 b.anchor} there.
+        The affine form carries over the same way: its movers and Z
+        constraints flip sign and its support shifts by P's X part.  So does
+        the byte-table set (n <= 64), in which a sign is one bit of ``high``.
+        """
+        if p.n != self.n:
+            raise SizeMismatch("Pauli width differs from state width")
+
+        def image(g: PauliOperator) -> PauliOperator:
+            return g if commutes(g, p) else PauliOperator(g.n, g.t ^ 2, g.a, g.b)
+
+        k = p.phase_exponent_on_basis(self.anchor_y)
+        out = StabilizerState(
+            [image(g) for g in self.generators],
+            self.anchor_y ^ p.a,
+            _I4[k] * self.anchor_amp,
+            check=False,
+        )
+        aff = self.affine_form()
+        movers = [(image(g), q) for g, q in aff.movers]
+        y_p = aff.y_particular ^ p.a
+        y0 = gf2.coset_min(y_p, {q: g.a for g, q in movers})
+        out._affine = _AffineForm(movers, [image(h) for h in aff.zcons], y_p, y0)
+        if self.n <= 64:
+            tab = self._tables()
+            flips = sum(1 << j for j, (g, _) in enumerate(aff.movers) if not commutes(g, p))
+            out._affine.tables = dataclasses.replace(tab, high=tab.high ^ flips)
+        return out
 
     # -- sampling ------------------------------------------------------
 

@@ -14,6 +14,8 @@ import pytest
 from commsim import transformers
 from commsim.circuit import Circuit, NamedGate
 from commsim.estimator import EstimatorConfig
+from commsim.pauli import parse_pauli
+from commsim.paulisim import ExtraGate, MemberGate, simulate_noncommuting_pauli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -65,3 +67,23 @@ def test_overlap_estimators_open_one_span_each(bench):
         tr.restore()
     assert tr.calls("transformers.estimate") == 1
     assert tr.counts["transformers.subset_draws"] == 8
+
+
+def test_extras_simulator_reads_nonzero_counters(bench):
+    run, spans = bench
+    program = [
+        MemberGate(0.7, parse_pauli("ZZI")),
+        ExtraGate(0.4, parse_pauli("XIZ")),
+        MemberGate(1.1, parse_pauli("XXI")),
+        ExtraGate(-1.2, parse_pauli("YYI")),
+    ]
+    tr = spans.Tracer()
+    run.instrument(tr)
+    try:
+        res = simulate_noncommuting_pauli(program, "011", 1, EstimatorConfig(k_override=500),
+                                          np.random.default_rng(2))
+    finally:
+        tr.restore()
+    assert tr.calls("estimator.phase") > 0
+    assert tr.counts["estimator.samples"] == res.k == 500
+    assert tr.counts["stabilizer.evolve_calls"] == 1

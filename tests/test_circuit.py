@@ -24,6 +24,7 @@ from commsim.circuit import (
     serialize_circuit,
 )
 from commsim.errors import NotCommuting, ParseError
+from commsim.oracle import circuit_unitary
 from commsim.pauli import parse_pauli
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -175,6 +176,27 @@ class TestTextFormat:
         c = parse_circuit(f"circuit 2\n{swap}\n")
         g = c.gates[0]
         assert g.support == (0, 1)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_unsorted_dense_gate_sorts_its_axes(self, rng, d):
+        m = random_unitary(d * d, rng)
+        # the same two-qudit operator with its axes in sorted order
+        swapped = m.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+        g = DenseGate((2, 1), m)
+        assert g.qudits == (1, 2)
+        assert np.allclose(g.matrix, swapped, atol=1e-14)
+        if d == 2:
+            inner = [ControlledGate(0, DenseGate((2, 1), m)),
+                     ControlledGate(0, DenseGate((1, 2), swapped))]
+            u, want = (circuit_unitary(Circuit(3, 2, [gt])) for gt in inner)
+            assert np.allclose(u, want, atol=1e-12)
+
+    def test_unsorted_dense_text_round_trip(self, rng):
+        m = random_unitary(4, rng)
+        c = Circuit(3, 2, [DenseGate((2, 0), m), NamedGate("h", (1,))])
+        text = serialize_circuit(c)
+        assert serialize_circuit(parse_circuit(text)) == text
+        assert circuits_equal(c, parse_circuit(text))
 
     def test_round_trip_random(self, rng):
         for _ in range(5):

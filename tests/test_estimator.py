@@ -96,12 +96,35 @@ class TestMonomialAlgebra:
         assert np.array_equal(comp.adjoint().permute_many(comp.permute_many(ys)), ys)
 
     def test_vectorized_matches_scalar(self, rng):
+        # up to 70 diagonal factors (two 64-bit parity words), some with zero
+        # angle, and Paulis with X parts between them; one factor is the
+        # single-monomial case
+        cases = [(1, 3, 2), (4, 3, 2), (9, 70, 6), (64, 70, 6), (9, 0, 5), (64, 0, 1), (64, 1, 0)]
+        for n, n_diag, n_pauli in cases:
+            self._check_vectorized(n, n_diag, n_pauli, rng)
+
+    @staticmethod
+    def _check_vectorized(n, n_diag, n_pauli, rng):
+        """Phases and flips of a random composition against a per-basis walk."""
+
+        def word():
+            return int(rng.integers(0, 2**64, dtype=np.uint64)) & ((1 << n) - 1)
+
+        ops = [
+            DiagonalZExp(float(rng.uniform(-4, 4)) * int(rng.integers(2)),
+                         PauliOperator(n, 2 * int(rng.integers(2)), 0, word()))
+            for _ in range(n_diag)
+        ]
+        for _ in range(n_pauli):
+            p = PauliOperator(n, int(rng.integers(4)), word(), word())
+            ops.insert(int(rng.integers(len(ops) + 1)), PauliMonomial(p))
+        comp = Composition(ops) if len(ops) > 1 else ops[0]
+        ys = rng.integers(0, 2**64, size=300, dtype=np.uint64) & np.uint64((1 << n) - 1)
         # per-basis-state reference: apply the factors right to left
-        comp = _random_monomial(4, rng)
         want_phase, want_perm = [], []
-        for y in range(16):
+        for y in ys.tolist():
             phase = 1 + 0j
-            for op in reversed(comp.ops):
+            for op in reversed(ops):
                 if isinstance(op, PauliMonomial):
                     lam, y = op.p.act_on_basis(y)
                 else:
@@ -110,9 +133,8 @@ class TestMonomialAlgebra:
                 phase *= lam
             want_phase.append(phase)
             want_perm.append(y)
-        ys = np.arange(16, dtype=np.uint64)
-        assert np.allclose(comp.eval_phase_many(ys), want_phase, atol=1e-12)
-        assert np.array_equal(comp.permute_many(ys), want_perm)
+        assert np.allclose(comp.eval_phase_many(ys), want_phase, rtol=0, atol=1e-12)
+        assert comp.permute_many(ys).tolist() == want_perm
 
     def test_identity(self):
         i = PauliMonomial(PauliOperator.identity(2))

@@ -1,5 +1,6 @@
 """Weak simulation of Pauli-exponential circuits vs closed forms and the oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import pauli_statevector_matrix, random_commuting_paulis
 from commsim.circuit import Circuit, PauliExpGate
 from commsim.errors import NotCommuting, NotHermitian, TooManyExtras
 from commsim.estimator import EstimatorConfig
+from commsim import paulisim
 from commsim.oracle import Observable, circuit_unitary, expectation, run_circuit
 from commsim.paulisim import (
     ExtraGate,
@@ -17,7 +19,8 @@ from commsim.paulisim import (
     simulate_commuting_pauli,
     simulate_noncommuting_pauli,
 )
-from commsim.pauli import PauliOperator, parse_pauli
+from commsim.pauli import PauliOperator, multiply, parse_pauli
+from commsim.stabilizer import evolve
 
 Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -239,3 +242,65 @@ class TestNonCommutingSimulation:
                 EstimatorConfig(k_override=5),
                 rng,
             )
+
+
+def _random_program(n, k, rng):
+    program = [
+        MemberGate(float(rng.uniform(0, 2 * np.pi)), p)
+        for p in random_commuting_paulis(n, int(rng.integers(1, n + 2)), rng)
+    ]
+    for _ in range(k):
+        program.insert(
+            int(rng.integers(len(program) + 1)),
+            ExtraGate(float(rng.uniform(0.1, 1.4)), _random_hermitian_pauli(n, rng)),
+        )
+    return program
+
+
+class TestBranches:
+    def test_branch_state_is_evolved_basis_state(self, rng):
+        # branch a is C^dag Sigma_a |x> = mu C^dag |z> for Sigma_a |x> = mu |z>
+        for trial in range(12):
+            n = int(rng.integers(1, 9))
+            k = trial % 4
+            program = _random_program(n, k, rng)
+            extras = [g.pauli for g in program if isinstance(g, ExtraGate)]
+            members = [(g.theta, g.pauli) for g in program if isinstance(g, MemberGate)]
+            c, _, _ = compile_commuting_pauli(members)
+            xv = int(rng.integers(1 << n))
+            branches = paulisim._branches(program, c, xv)
+            choices = list(itertools.product((0, 1), repeat=k))
+            assert len(branches) == len(choices)
+            for choice, (_, _, _, psi) in zip(choices, branches):
+                sigma = PauliOperator.identity(n)
+                for take, p in reversed(list(zip(choice, extras))):
+                    if take:
+                        sigma = multiply(sigma, p)
+                mu, z = sigma.act_on_basis(xv)
+                want = evolve(z, c.inverse())
+                # same generators, so the same affine form and sample stream
+                assert psi.generators == want.generators
+                got, ref = psi.affine_form(), want.affine_form()
+                assert (got.movers, got.zcons, got.y0) == (ref.movers, ref.zcons, ref.y0)
+                ys = np.arange(1 << n, dtype=np.uint64)
+                vec = [psi.amplitude_raw(y) for y in range(1 << n)]
+                assert np.allclose(vec, [mu * want.amplitude_raw(y) for y in range(1 << n)],
+                                   rtol=0, atol=1e-12)
+                assert np.allclose(psi.amplitudes_raw_many(ys), mu * want.amplitudes_raw_many(ys),
+                                   rtol=0, atol=1e-12)
+                assert np.array_equal(psi.sample_many(40, np.random.default_rng(trial)),
+                                      want.sample_many(40, np.random.default_rng(trial)))
+
+    def test_one_evolution_per_estimate(self, rng, monkeypatch):
+        calls = []
+
+        def counting(x, c):
+            calls.append(x)
+            return evolve(x, c)
+
+        monkeypatch.setattr(paulisim, "evolve", counting)
+        for k in (0, 1, 3):
+            calls.clear()
+            program = _random_program(4, k, rng)
+            simulate_noncommuting_pauli(program, 5, 1, EstimatorConfig(k_override=64), rng)
+            assert len(calls) == 1

@@ -323,6 +323,22 @@ class TestEvolve:
         assert st.amplitudes_raw_many(ys).all()
         assert off >= (50 if aff.zcons else 0)
 
+    def test_apply_pauli_is_the_pauli_image(self, rng):
+        # exact global phase; the carried affine form and byte tables agree
+        # with the image's own
+        for n in (1, 4, 9, 64):
+            for s in sorted({0, 1, n // 2, n}):
+                st = _evolved_with_support(n, s, rng)
+                p = _random_wide_pauli(n, rng)
+                img = st.apply_pauli(p)
+                if n <= 4:
+                    want = pauli_statevector_matrix(p) @ _state_vector(st)
+                    assert np.allclose(_state_vector(img), want, rtol=0, atol=1e-12)
+                fresh = StabilizerState(img.generators, img.anchor_y, img.anchor_amp).affine_form()
+                aff = img.affine_form()
+                assert (aff.movers, aff.zcons, aff.y0) == (fresh.movers, fresh.zcons, fresh.y0)
+                self._check_vectorized(img, rng)
+
     def test_vectorized_off_support_anchor(self):
         # an anchor outside the support reaches no support element
         st = StabilizerState([parse_pauli("ZI"), parse_pauli("IX")], anchor_y=0b01, anchor_amp=1.0)
