@@ -31,9 +31,8 @@ or digit strings read by :func:`oracle.parse_basis_label`.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -495,7 +494,7 @@ class StabilizerState:
         if self.n <= 64:
             tab = self._tables()
             flips = sum(1 << j for j, (g, _) in enumerate(aff.movers) if not commutes(g, p))
-            out._affine.tables = dataclasses.replace(tab, high=tab.high ^ flips)
+            out._affine.tables = replace(tab, high=tab.high ^ flips)
         return out
 
     # -- sampling ------------------------------------------------------

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from conftest import pauli_statevector_matrix, random_commuting_paulis
 
+from commsim import paulisim
 from commsim.circuit import Circuit, PauliExpGate
 from commsim.errors import NotCommuting, NotHermitian, TooManyExtras
 from commsim.estimator import EstimatorConfig
-from commsim import paulisim
 from commsim.oracle import Observable, circuit_unitary, expectation, run_circuit
 from commsim.paulisim import (
     ExtraGate,
