@@ -1,8 +1,9 @@
-"""Instances and runners of the golden cases in ``paulisim.json``.
+"""Instances and runners of the golden cases in ``paulisim.json`` and ``cli.json``.
 
-``tests/test_golden.py`` replays each case with :func:`run_library` or
-:func:`run_paulisim_command` and compares the result with the recorded one.
-Running this file re-records every case on the current tree:
+``tests/test_golden.py`` replays each case with :func:`run_library`,
+:func:`run_paulisim_command` or :func:`run_command` and compares the result
+with the recorded one.  Running this file re-records every case of both
+files on the current tree:
 
     PYTHONPATH=src python tests/golden/record.py
 
@@ -23,15 +24,17 @@ import numpy as np
 
 from commsim.cli import dispatch
 from commsim.estimator import EstimatorConfig
-from commsim.pauli import PauliOperator, commutes, format_pauli, parse_pauli
+from commsim.pauli import PauliOperator, commutes, format_pauli, multiply, parse_pauli
 from commsim.paulisim import (
     ExtraGate,
     MemberGate,
     simulate_commuting_pauli,
     simulate_noncommuting_pauli,
 )
+from commsim.stabilizer import conjugate_pauli, random_clifford_circuit
 
 GOLDEN = Path(__file__).resolve().parent / "paulisim.json"
+GOLDEN_CLI = GOLDEN.with_name("cli.json")
 
 
 def run_library(case) -> dict:
@@ -54,6 +57,17 @@ def run_library(case) -> dict:
     }
 
 
+def _stdout_object(argv: list[str]) -> dict:
+    """The one JSON object a successful ``commsim`` call prints on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    if code != 0:
+        raise RuntimeError(f"{argv[0]} exited with {code}: {err.getvalue()}")
+    (line,) = out.getvalue().splitlines()
+    return json.loads(line)
+
+
 def run_paulisim_command(case, tmp: Path) -> dict:
     """The one stdout object of ``commsim paulisim`` on the case's files and flags."""
     circuit = tmp / "c.qc"
@@ -63,13 +77,18 @@ def run_paulisim_command(case, tmp: Path) -> dict:
         extras = tmp / "e.ex"
         extras.write_text(case["extras"])
         argv += ["--extras", str(extras)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = dispatch(argv)
-    if code != 0:
-        raise RuntimeError(f"paulisim exited with {code}: {err.getvalue()}")
-    (line,) = out.getvalue().splitlines()
-    return json.loads(line)
+    return _stdout_object(argv)
+
+
+def run_command(case, tmp: Path) -> dict:
+    """The stdout object of one ``cli.json`` case.
+
+    The case's files are written to ``tmp``, and ``{tmp}`` in its argv
+    names that directory.
+    """
+    for name, text in case["files"].items():
+        (tmp / name).write_text(text)
+    return _stdout_object([arg.replace("{tmp}", str(tmp)) for arg in case["argv"]])
 
 
 def _hermitian(n, rng) -> PauliOperator:
@@ -133,15 +152,81 @@ def instances() -> tuple[list[dict], list[dict]]:
     return lib, cli
 
 
+def cli_instances() -> list[dict]:
+    """Command cases for every subcommand but ``paulisim``, from one fixed seed."""
+    rng = np.random.default_rng(1204_4571)
+    # signed Z-types on 70 qubits through a random Clifford: 40 members, one a
+    # product of two others, so completion adds generators too
+    c = random_clifford_circuit(70, 400, rng)
+    zs = [PauliOperator(70, 2 * int(rng.integers(2)), 0, int.from_bytes(rng.bytes(9)) >> 2)
+          for _ in range(39)]
+    zs.append(multiply(zs[0], zs[1]))
+    wide = "paulis 70\n" + "".join(format_pauli(conjugate_pauli(c, z)) + "\n" for z in zs)
+    chain = "circuit 3\nexppauli 0.4 ZZI\nexppauli 0.9 IZZ\n"
+    xchain = "circuit 3\nexppauli 0.4 XXI\nexppauli -0.9 IXX\n"
+    bellish = "circuit 2\nexppauli 0.4 ZZ\nexppauli 0.9 ZI\n"
+    mixed = "circuit 3\nh 1\ncnot 1 2\nexppauli 0.7 XZY\ns 3\ncz 2 3\n"
+    shallow = "circuit 3\nh 1\nexppauli 0.6 XZI\nexppauli -0.4 IZX\n"
+    # images of Z(S) under this Clifford carry every phase i^t, t = 0..3
+    phased = "circuit 3\ncz 1 2\nz 1\nh 3\ncz 3 2\ns 3\nh 1\ns 2\nh 3\n"
+    # a two-qubit Hermitian observable as a matrix file, re-im pairs per entry
+    obs = (
+        "1 0 0.5 0 0 0 0 0.2\n0.5 0 -0.5 0 0.3 0 0 0\n"
+        "0 0 0.3 0 0.25 0 0 0\n0 -0.2 0 0 0 0 2 0\n"
+    )
+
+    def case(name, argv, files):
+        return dict(name=name, argv=argv, files=files)
+
+    estimate = ["--epsilon", "0.2", "--delta", "0.1", "--shots", "40"]
+    return [
+        case("diagonalize-full-rank", ["diagonalize", "{tmp}/s.pauli"],
+             {"s.pauli": "paulis 3\nZZI\nIZZ\nXXX\n"}),
+        case("diagonalize-rank-deficient", ["diagonalize", "{tmp}/s.pauli"],
+             {"s.pauli": "paulis 5\nZZIII\n-IZZII\nZIZII\nXXXII\n-ZZIII\nIIIYY\n+IIIYY\n"}),
+        case("diagonalize-n70", ["diagonalize", "{tmp}/s.pauli"], {"s.pauli": wide}),
+        case("oracle-pauli-string", ["oracle", "{tmp}/c.qc", "--input", "101", "--obs", "XXZ"],
+             {"c.qc": mixed}),
+        case("oracle-matrix-file",
+             ["oracle", "{tmp}/c.qc", "--input", "011", "--obs", "{tmp}/o.txt@1,3"],
+             {"c.qc": mixed, "o.txt": obs}),
+        case("sim2local-z", ["sim2local", "{tmp}/c.qc", "--input", "01", "--obs", "Z1"],
+             {"c.qc": bellish}),
+        case("sim2local-matrix-file",
+             ["sim2local", "{tmp}/c.qc", "--input", "001", "--obs", "{tmp}/o.txt@2,3"],
+             {"c.qc": xchain, "o.txt": obs}),
+        case("hadamard-test-re", ["hadamard-test", "{tmp}/c.qc"], {"c.qc": chain}),
+        case("hadamard-test-im", ["hadamard-test", "{tmp}/c.qc", "--part", "im"],
+             {"c.qc": bellish}),
+        case("alt-hadamard-test-re", ["alt-hadamard-test", "{tmp}/c.qc"], {"c.qc": mixed}),
+        case("alt-hadamard-test-im", ["alt-hadamard-test", "{tmp}/c.qc", "--part", "im"],
+             {"c.qc": shallow}),
+        case("merge-layers-re", ["merge-layers", "{tmp}/l1.qc", "{tmp}/l2.qc"],
+             {"l1.qc": "circuit 2\nexppauli 0.3 ZZ\n", "l2.qc": "circuit 2\nexppauli 0.5 ZI\n"}),
+        case("merge-layers-im", ["merge-layers", "{tmp}/l1.qc", "{tmp}/l2.qc", "--part", "im"],
+             {"l1.qc": chain, "l2.qc": "circuit 3\nexppauli -0.8 XIX\nexppauli 0.2 IXI\n"}),
+        case("depth-overlap", ["depth-overlap", "{tmp}/u.qc", "--seed", "31", *estimate],
+             {"u.qc": shallow}),
+        case("depth-overlap-clifford",
+             ["depth-overlap", "{tmp}/u.qc", "--clifford", "{tmp}/c.qc", "--seed", "32",
+              *estimate],
+             {"u.qc": shallow, "c.qc": phased}),
+    ]
+
+
 def main():
     sys.path.insert(0, str(GOLDEN.parents[1]))  # tests/, for conftest
     lib, cli = instances()
     for case in lib:
         case["want"] = run_library(case)
+    commands = cli_instances()
     with tempfile.TemporaryDirectory() as tmp:
         for case in cli:
             case["want"] = run_paulisim_command(case, Path(tmp))
+        for case in commands:
+            case["want"] = run_command(case, Path(tmp))
     GOLDEN.write_text(json.dumps({"library": lib, "cli": cli}, indent=1) + "\n")
+    GOLDEN_CLI.write_text(json.dumps({"commands": commands}, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,14 @@
-"""Golden outputs of the Pauli-exponential simulators and the ``paulisim`` command.
+"""Golden outputs of the Pauli-exponential simulators and of every command.
 
 Each case in ``golden/paulisim.json`` stores its instance (Pauli strings,
 angles, input, seed) and the outputs recorded for it: the library's
 ``raw_value``, ``k`` and ``max_modulus_violation``, and the command's stdout
-object.  Ints and strings must match exactly and floats to 1e-12: any change
-to a sample stream moves an estimate by about 1/K, far above that, while
-another BLAS or SIMD ``exp`` may still round the last bits differently.
+object.  Each case in ``golden/cli.json`` stores the argv and input files of
+one command and its stdout object.  Ints and strings must match exactly and
+floats to 1e-12: any change to a sample stream moves an estimate by about
+1/K, far above that, while another BLAS or SIMD ``exp`` may still round the
+last bits differently.  The matrix entries in a serialized circuit are
+floats too, so two strings that differ are compared token by token.
 ``golden/record.py`` holds the instances and re-records them.
 """
 
@@ -13,10 +16,20 @@ import json
 import math
 
 import pytest
-from golden.record import GOLDEN, run_library, run_paulisim_command
+from golden.record import GOLDEN, GOLDEN_CLI, run_command, run_library, run_paulisim_command
+
+from commsim.cli import _build_parser
 
 FLOAT_TOL = 1e-12
 CASES = json.loads(GOLDEN.read_text())
+COMMANDS = json.loads(GOLDEN_CLI.read_text())["commands"]
+
+
+def _token(tok: str):
+    try:
+        return float(tok)
+    except ValueError:
+        return tok
 
 
 def _same(got, want) -> bool:
@@ -31,6 +44,8 @@ def _same(got, want) -> bool:
         )
     if isinstance(want, float):
         return isinstance(got, float) and abs(got - want) <= FLOAT_TOL
+    if isinstance(want, str) and isinstance(got, str) and got != want:
+        return _same([_token(t) for t in got.split()], [_token(t) for t in want.split()])
     return type(got) is type(want) and got == want
 
 
@@ -46,8 +61,22 @@ def test_paulisim_command_stdout(case, tmp_path):
     assert _same(got, case["want"]), (got, case["want"])
 
 
+@pytest.mark.parametrize("case", COMMANDS, ids=lambda c: c["name"])
+def test_command_stdout(case, tmp_path):
+    got = run_command(case, tmp_path)
+    assert _same(got, case["want"]), (got, case["want"])
+
+
+def test_every_subcommand_has_a_golden_case():
+    (sub,) = [a for a in _build_parser()._actions if a.choices and a.dest == "command"]
+    covered = {c["argv"][0] for c in COMMANDS} | ({"paulisim"} if CASES["cli"] else set())
+    assert set(sub.choices) <= covered, set(sub.choices) - covered
+
+
 def test_comparison_rule():
     assert _same({"a": 1, "b": [0.5, "x"]}, {"a": 1, "b": [0.5 + 1e-13, "x"]})
     assert not _same(1.0, 1.0 + 1e-11)
     assert not _same(math.nan, math.nan)
     assert not _same(1, 1.0) and not _same(True, 1)
+    assert _same("dense 1 0.25 0.5\nh 2\n", "dense 1 0.25000000000000006 0.5\nh 2\n")
+    assert not _same("h 1\n", "h 2\n") and not _same("h 1\n", "h 1 1\n")
