@@ -21,12 +21,18 @@ coordinates into y0, and an amplitude gathers the mover coordinates x of
 and reads the phase as a linear plus quadratic form in x (the affine form
 of Dehaene and De Moor, quant-ph/0304125).  :func:`evolve` moves the
 anchor through monomial gates and conjugates the generators only at each
-``h``, where one X-block elimination gives both the new anchor and the new
-state's affine form.  :meth:`StabilizerState.apply_pauli` needs no
-elimination: a Pauli image keeps the affine form and byte tables up to signs
-and a shifted support.  The affine form and prep synthesis share that
-elimination, ``_reduce_x_block``; basis labels are ints with bit k = qubit k,
-or digit strings read by :func:`oracle.parse_basis_label`.
+``h``, where one affine form gives both the new anchor and the new state's
+form.  :meth:`StabilizerState.apply_pauli` needs no elimination: a Pauli
+image keeps the affine form and byte tables up to signs and a shifted
+support.
+
+One column-mask elimination, ``_reduce_block``, reduces Pauli rows over
+their X or their Z parts.  The affine form runs it on the X block, which
+gives the movers, and then on the Z parts of the remaining constraints,
+whose pivot-row signs give a particular support element.  Prep synthesis
+reuses the state's affine form and runs it once more on the Z rows after
+its CNOTs.  Basis labels are ints with bit k = qubit k, or digit strings
+read by :func:`oracle.parse_basis_label`.
 """
 
 from __future__ import annotations
@@ -219,34 +225,35 @@ def _as_int_label(x, n: int) -> int:
     return sum(bit << k for k, bit in enumerate(parse_basis_label(x, n, 2)))
 
 
-def _reduce_x_block(rows: list[PauliOperator]) -> dict[int, int]:
-    """Row-reduce the X parts of ``rows`` in place; return {pivot qubit: row index}.
+def _reduce_block(rows: list[PauliOperator], part: str, eligible: int) -> dict[int, int]:
+    """Row-reduce the X (``part="a"``) or Z (``"b"``) parts of ``rows`` in place.
 
-    Pivot qubits come in ascending order, each pivot row is the only row with
-    an X on its pivot qubit, and the rows without a pivot end with no X part.
-    Bit i of col[q] is row i's X bit on qubit q, so each pivot is the lowest
-    unused row in one mask, and clearing a column XORs the cleared rows into
-    the columns of the pivot row's X part.
+    Returns {pivot qubit: row index}, pivots taken only from the rows whose
+    bit is set in ``eligible``.  Pivot qubits come in ascending order, each
+    is the lowest ``part`` bit of its row, each pivot row is the only row
+    with a ``part`` bit on its pivot qubit, and eligible rows without a pivot
+    end with no ``part`` bits.  Bit i of col[q] is row i's bit on qubit q, so
+    each pivot is the lowest unused eligible row in one mask, and clearing a
+    column XORs the cleared rows into the columns of the pivot row's part.
     """
-    col = [0] * rows[0].n
+    col = [0] * (rows[0].n if rows else 0)
     for i, g in enumerate(rows):
-        for q in _bits(g.a):
+        for q in _bits(getattr(g, part)):
             col[q] |= 1 << i
     piv_of: dict[int, int] = {}
-    used = 0
     for q, c in enumerate(col):
-        free = c & ~used
+        free = c & eligible
         if not free:
             continue
         hit = gf2.lowest_bit(free)
         piv_of[q] = hit
-        used |= 1 << hit
+        eligible ^= 1 << hit
         clear = c & ~(1 << hit)
         if clear:
             pivot = rows[hit]
             for i in _bits(clear):
                 rows[i] = multiply(rows[i], pivot)
-            for q2 in _bits(pivot.a):
+            for q2 in _bits(getattr(pivot, part)):
                 col[q2] ^= clear
     return piv_of
 
@@ -254,7 +261,7 @@ def _reduce_x_block(rows: list[PauliOperator]) -> dict[int, int]:
 @dataclass
 class _AffineForm:
     movers: list[tuple[PauliOperator, int]]  # (generator product, pivot qubit)
-    zcons: list[PauliOperator]  # pure Z-type constraints
+    zcons: list[PauliOperator]  # Z-type constraints, Z parts reduced, by pivot
     y_particular: int
     y0: int  # lexicographically least support element
     tables: _ByteTables | None = None  # built on first vectorized use
@@ -401,7 +408,7 @@ class StabilizerState:
         if self._affine is not None:
             return self._affine
         rows = list(self.generators)
-        piv_of = _reduce_x_block(rows)
+        piv_of = _reduce_block(rows, "a", (1 << len(rows)) - 1)
         movers = [(rows[i], q) for q, i in piv_of.items()]
         pivoted = set(piv_of.values())
         zcons = [g for i, g in enumerate(rows) if i not in pivoted]
@@ -410,14 +417,16 @@ class StabilizerState:
                 raise AssertionError("elimination left an X part behind")
             if h.t not in (0, 2):
                 raise MinusIdentity("a generator product carries an imaginary phase")
-        # membership constraints: parity(b.y) == 1 iff sign is -1
-        sys_rows = [h.b for h in zcons]
-        sys_rhs = [0 if h.t == 0 else 1 for h in zcons]
-        y_p = gf2.solve(sys_rows, sys_rhs)
-        if y_p is None:
+        # membership: parity(b & y) == 1 iff the sign is -1.  In reduced form
+        # each pivot row fixes y's bit on its pivot qubit, and a row reduced
+        # to the identity must carry no sign
+        zpiv = _reduce_block(zcons, "b", (1 << len(zcons)) - 1)
+        if any(h.t for h in zcons if not h.b):
             raise MinusIdentity("constraints are inconsistent (-I in the group)")
-        # _reduce_x_block left the movers' X parts fully reduced, each keyed
-        # by its pivot, which is its lowest X bit
+        zcons = [zcons[i] for i in zpiv.values()]
+        y_p = sum(1 << q for q, h in zip(zpiv, zcons) if h.t == 2)
+        # the movers' X parts come out fully reduced, each keyed by its pivot,
+        # which is its lowest X bit
         y0 = gf2.coset_min(y_p, {q: g.a for g, q in movers})
         self._affine = _AffineForm(movers, zcons, y_p, y0)
         return self._affine
@@ -704,52 +713,34 @@ def synthesize_prep(s: StabilizerState) -> CliffordCircuit:
     stage changes where a later gate reads them.
     """
     n = s.n
-    rows = list(s.generators)
-    piv_of = _reduce_x_block(rows)
-    pivots = list(piv_of)
-    used = set(piv_of.values())
-    # CNOTs: shrink each pivot row's X part to its pivot qubit
+    aff = s.affine_form()
+    pivots = [q for _, q in aff.movers]
+    rows = [g for g, _ in aff.movers] + aff.zcons
+    # CNOTs: shrink each mover's X part to its pivot qubit
     cnots = [
-        ("cnot", (q, j))
-        for q in pivots
-        for j in _bits(rows[piv_of[q]].a & ~(1 << q))
+        ("cnot", (q, j)) for i, q in enumerate(pivots) for j in _bits(rows[i].a & ~(1 << q))
     ]
     rows = _conj_rows(rows, cnots)
-    # Gauss-Jordan on the pure-Z rows: commutation keeps them off the pivot
-    # columns, and they span the rest, so full reduction yields +-Z singletons.
-    zrows = [i for i in range(n) if i not in used]
-    zindex: dict[int, int] = {}
-    for i in zrows:
-        while rows[i].b and gf2.lowest_bit(rows[i].b) in zindex:
-            rows[i] = multiply(rows[i], rows[zindex[gf2.lowest_bit(rows[i].b)]])
-        if rows[i].b == 0:
-            raise AssertionError("dependent pure-Z rows")
-        zindex[gf2.lowest_bit(rows[i].b)] = i
-    for p in sorted(zindex):
-        for j in zrows:
-            if j != zindex[p] and (rows[j].b >> p) & 1:
-                rows[j] = multiply(rows[j], rows[zindex[p]])
-    # clear pivot-row Z parts on non-pivot columns using the Z singletons
-    for q in pivots:
-        i = piv_of[q]
-        for p, j in zindex.items():
-            if (rows[i].b >> p) & 1:
-                rows[i] = multiply(rows[i], rows[j])
+    # commutation with the X singletons keeps the Z rows off the pivot
+    # columns, and they span the rest, so reducing their Z parts leaves +-Z
+    # singletons and clears those columns from the movers' Z parts
+    _reduce_block(rows, "b", ((1 << len(aff.zcons)) - 1) << len(pivots))
     # CZ for symmetric off-diagonal pivot-column Z entries, S for diagonal Y
     # entries, then H turns the +-X rows into +-Z rows
     rest = [
         ("cz", (q, q2))
-        for ii, q in enumerate(pivots)
-        for q2 in pivots[ii + 1 :]
-        if (rows[piv_of[q]].b >> q2) & 1
+        for i, q in enumerate(pivots)
+        for q2 in pivots[i + 1 :]
+        if (rows[i].b >> q2) & 1
     ]
-    rest += [("s", (q,)) for q in pivots if (rows[piv_of[q]].b >> q) & 1]
+    rest += [("s", (q,)) for i, q in enumerate(pivots) if (rows[i].b >> q) & 1]
     rest += [("h", (q,)) for q in pivots]
     rows = _conj_rows(rows, rest)
     # now every row is +-Z_k; read off the basis state
+    if len(rows) != n:
+        raise AssertionError("dependent generators")
     v = 0
-    for i in range(n):
-        g = rows[i]
+    for g in rows:
         if g.a != 0 or g.b.bit_count() != 1 or g.t not in (0, 2):
             raise AssertionError("reduction did not reach +-Z form")
         if g.t == 2:

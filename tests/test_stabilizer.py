@@ -21,7 +21,7 @@ from commsim.stabilizer import (
     CliffordCircuit,
     CliffordTableau,
     StabilizerState,
-    _reduce_x_block,
+    _reduce_block,
     complete_generators,
     conjugate_pauli,
     diagonalize_commuting_set,
@@ -273,14 +273,22 @@ class TestEvolve:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 33, 64, 70])
     def test_affine_basis_is_reduced_basis(self, n, rng):
-        # the movers' X parts come out of _reduce_x_block already reduced
+        # the movers' X parts come out of _reduce_block already reduced, and
+        # y_particular meets every Z constraint the X block leaves behind
         for _ in range(4):
             c = random_clifford_circuit(n, 4 * n, rng)
             x = _random_wide_pauli(n, rng).a
-            aff = evolve(x, c).affine_form()
+            st = evolve(x, c)
+            aff = st.affine_form()
             want = gf2.reduced_basis([g.a for g, _ in aff.movers])
             assert {q: g.a for g, q in aff.movers} == want
             assert aff.y0 == gf2.coset_min(aff.y_particular, want)
+            rows = list(st.generators)
+            movers = set(_reduce_block(rows, "a", (1 << n) - 1).values())
+            zcons = [h for i, h in enumerate(rows) if i not in movers]
+            assert len(zcons) == n - aff.s
+            for h in zcons:
+                assert h.a == 0 and (h.b & aff.y_particular).bit_count() % 2 == h.t // 2
 
     def test_sampling_in_support(self, rng):
         c = random_clifford_circuit(4, 15, rng)
@@ -408,18 +416,35 @@ class TestCompletionAndSynthesis:
                 for h in gens[i + 1 :]:
                     assert commutes(g, h)
 
-    @pytest.mark.parametrize("n", [3, 8, 70])
-    def test_reduce_x_block_matches_row_scan(self, n, rng):
-        def row_scan(rows):  # one Python scan of all rows per qubit, as the oracle
+    @pytest.mark.parametrize(
+        "n, part, eligible",
+        [
+            # plain ids for the X block over all rows, the call the affine form makes
+            pytest.param(n, part, eligible, id=str(n) if (part, eligible) == ("a", "all")
+                         else f"{n}-{part}-{eligible}")
+            for n in (3, 8, 70)
+            for part in "ab"
+            for eligible in ("all", "some")
+        ],
+    )
+    def test_reduce_x_block_matches_row_scan(self, n, part, eligible, rng):
+        def row_scan(rows, mask):  # one Python scan of all rows per qubit, as the oracle
             piv_of, used = {}, set()
             for q in range(n):
-                hit = next((i for i, g in enumerate(rows) if i not in used and (g.a >> q) & 1), None)
+                hit = next(
+                    (
+                        i
+                        for i, g in enumerate(rows)
+                        if i not in used and (mask >> i) & 1 and (getattr(g, part) >> q) & 1
+                    ),
+                    None,
+                )
                 if hit is None:
                     continue
                 piv_of[q] = hit
                 used.add(hit)
                 for i, g in enumerate(rows):
-                    if i != hit and (g.a >> q) & 1:
+                    if i != hit and (getattr(g, part) >> q) & 1:
                         rows[i] = multiply(g, rows[hit])
             return piv_of
 
@@ -428,9 +453,12 @@ class TestCompletionAndSynthesis:
 
         for _ in range(5):
             rows = [PauliOperator(n, int(rng.integers(4)), bits(), bits()) for _ in range(n)]
-            rows[-1] = multiply(rows[0], rows[1])  # a dependent X part
+            rows[-1] = multiply(rows[0], rows[1])  # a dependent X and Z part
+            mask = (1 << n) - 1 if eligible == "all" else bits()
             got, want = list(rows), list(rows)
-            assert list(_reduce_x_block(got).items()) == list(row_scan(want).items())
+            assert list(_reduce_block(got, part, mask).items()) == list(
+                row_scan(want, mask).items()
+            )
             assert got == want
 
     def test_compile_checks_commutation_once(self, rng, monkeypatch):
