@@ -92,6 +92,9 @@ def _parse_obs(spec: str, n: int, d: int) -> Observable:
     if "@" in spec:
         path, _, qs = spec.partition("@")
         support = tuple(sorted(int(t) - 1 for t in qs.split(",")))
+        for q in support:
+            if not 0 <= q < n:
+                raise ValueError(f"observable qubit {q + 1} outside the register")
         rows = []
         for raw in _read(path).splitlines():
             line = raw.split("#", 1)[0].strip()

@@ -140,7 +140,7 @@ def simulate_2local(
     """Exact ``<a|C^dag O C|a>`` in time independent of the register size."""
     if inp.n != c.n or inp.d != c.d:
         raise DimensionMismatch("input state and circuit disagree on register shape")
-    if obs.support and max(obs.support) >= c.n:
+    if any(not 0 <= q < c.n for q in obs.support):
         raise DimensionMismatch("observable support outside the register")
     if len(obs.support) > max_block:
         raise LocalityExceeded(

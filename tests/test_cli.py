@@ -215,6 +215,17 @@ class TestErrorsAndDeterminism:
         code, out, err = run_cli(capsys, "depth-overlap", path, "--seed", "1")
         assert code == 1 and not out and "at most 64 qubits" in err
 
+    @pytest.mark.parametrize("command", ["oracle", "sim2local"])
+    @pytest.mark.parametrize("qubit", ["0", "4"])
+    def test_obs_matrix_file_qubit_outside(self, qc, capsys, command, qubit):
+        cpath = qc("c.qc", "circuit 3\nexppauli 0.4 ZZI\nexppauli 0.9 IZZ\n")
+        opath = qc("z.txt", "1 0 0 0\n0 0 -1 0\n")
+        code, out, err = run_cli(
+            capsys, command, cpath, "--obs", f"{opath}@{qubit}", "--input", "001"
+        )
+        assert code == 1 and not out
+        assert f"observable qubit {qubit} outside the register" in err
+
     def test_obs_matrix_shape_mismatch(self, qc, capsys):
         cpath = qc("c.qc", "circuit 2\nh 1\n")
         opath = qc("m.mat", "1 0 0 0 0 0\n0 0 1 0 0 0\n0 0 0 0 1 0\n")

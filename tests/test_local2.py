@@ -157,6 +157,14 @@ class TestValidation:
         with pytest.raises(DimensionMismatch):
             simulate_2local(c, _random_input(4, 2, rng), Observable((7,), Z2))
 
+    def test_negative_support_rejected(self):
+        # a negative qudit would index the input's factors from the end
+        gates = [PauliExpGate(0.4, parse_pauli("ZZI")), PauliExpGate(0.9, parse_pauli("IZZ"))]
+        c = Circuit(3, 2, gates)
+        inp = ProductState.from_basis(3, 2, "001")
+        with pytest.raises(DimensionMismatch, match="outside the register"):
+            simulate_2local(c, inp, Observable((-1,), Z2))
+
     def test_factor_validation(self):
         with pytest.raises(ValueError):
             ProductState([np.array([1.0, 1.0])], 2)
