@@ -103,9 +103,6 @@ class MonomialOperator:
     n: int
     shift: int
 
-    def adjoint(self) -> "MonomialOperator":
-        raise NotImplementedError
-
     def phase_form(self) -> tuple[complex, list[int], list[complex]]:
         raise NotImplementedError
 
@@ -149,9 +146,6 @@ class PauliMonomial(MonomialOperator):
         self.n = p.n
         self.shift = p.a
 
-    def adjoint(self) -> "PauliMonomial":
-        return PauliMonomial(self.p.adjoint())
-
     def phase_form(self) -> tuple[complex, list[int], list[complex]]:
         return _I4[self.p.t], [self.p.b], [-1 + 0j]
 
@@ -170,9 +164,6 @@ class DiagonalZExp(MonomialOperator):
         self.theta = float(theta)
         self.q = q
         self.n = q.n
-
-    def adjoint(self) -> "DiagonalZExp":
-        return DiagonalZExp(-self.theta, self.q)
 
     def phase_form(self) -> tuple[complex, list[int], list[complex]]:
         # e^{i s theta (1 - 2 parity(b.y))} with s the sign of Q
@@ -193,9 +184,6 @@ class Composition(MonomialOperator):
         self.shift = 0
         for m in ops:
             self.shift ^= m.shift
-
-    def adjoint(self) -> "Composition":
-        return Composition([m.adjoint() for m in reversed(self.ops)])
 
     def phase_form(self) -> tuple[complex, list[int], list[complex]]:
         # a factor sees y ^ s, s the X shifts of the factors applied before it;

@@ -61,11 +61,6 @@ class PauliOperator:
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         return multiply(self, other)
 
-    def adjoint(self) -> "PauliOperator":
-        # (i^t X^a Z^b)^dag = i^{-t} Z^b X^a = i^{-t + 2 (a.b)} X^a Z^b
-        t = (-self.t + 2 * _parity(self.a & self.b)) % 4
-        return PauliOperator(self.n, t, self.a, self.b)
-
     @property
     def r(self) -> int:
         """Symplectic vector (a, b) packed as a single 2n-bit integer."""
@@ -78,22 +73,6 @@ class PauliOperator:
     def is_z_type(self) -> bool:
         """No X part and a real +-1 phase (signed Z-type)."""
         return self.a == 0 and self.t in (0, 2)
-
-    def sign(self) -> int:
-        """+1 or -1 for a phase-free Hermitian operator; raises otherwise."""
-        if self.t == 0:
-            return 1
-        if self.t == 2:
-            return -1
-        raise ValueError("operator carries an imaginary phase")
-
-    def weight(self) -> int:
-        return (self.a | self.b).bit_count()
-
-    def act_on_basis(self, y: int) -> tuple[complex, int]:
-        """P|y> = phase * |y XOR a| with phase = i^t (-1)^{b.y}."""
-        k = (self.t + 2 * _parity(self.b & y)) % 4
-        return _I4[k], y ^ self.a
 
     def phase_exponent_on_basis(self, y: int) -> int:
         """Exponent k with P|y> = i^k |y XOR a|."""

@@ -44,8 +44,7 @@ def pauli_statevector_matrix(p: PauliOperator) -> np.ndarray:
     n = p.n
     m = np.zeros((1 << n, 1 << n), dtype=complex)
     for y in range(1 << n):
-        phase, y2 = p.act_on_basis(y)
-        m[oracle_index(y2, n), oracle_index(y, n)] = phase
+        m[oracle_index(y ^ p.a, n), oracle_index(y, n)] = 1j ** p.phase_exponent_on_basis(y)
     return m
 
 

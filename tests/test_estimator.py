@@ -20,8 +20,7 @@ def _pauli_dense(p: PauliOperator) -> np.ndarray:
     dim = 1 << p.n
     m = np.zeros((dim, dim), dtype=complex)
     for y in range(dim):
-        phase, y2 = p.act_on_basis(y)
-        m[y2, y] = phase
+        m[y ^ p.a, y] = 1j ** p.phase_exponent_on_basis(y)
     return m
 
 
@@ -86,14 +85,11 @@ class TestMonomialAlgebra:
             assert len(nz) == 1
             assert abs(abs(col[nz[0]]) - 1.0) < 1e-12
 
-    def test_adjoint(self, rng):
-        comp = _random_monomial(3, rng)
-        assert np.allclose(comp.adjoint().to_matrix(), comp.to_matrix().conj().T, atol=1e-10)
-
     def test_permute_inverse(self, rng):
         comp = _random_monomial(4, rng)
         ys = np.arange(16, dtype=np.uint64)
-        assert np.array_equal(comp.adjoint().permute_many(comp.permute_many(ys)), ys)
+        # a monomial flips a fixed X mask, so it is its own inverse permutation
+        assert np.array_equal(comp.permute_many(comp.permute_many(ys)), ys)
 
     def test_vectorized_matches_scalar(self, rng):
         # up to 70 diagonal factors (two 64-bit parity words), some with zero
@@ -126,10 +122,10 @@ class TestMonomialAlgebra:
             phase = 1 + 0j
             for op in reversed(ops):
                 if isinstance(op, PauliMonomial):
-                    lam, y = op.p.act_on_basis(y)
-                else:
-                    lam, _ = op.q.act_on_basis(y)
-                    lam = np.exp(1j * op.theta * lam.real)
+                    lam = 1j ** op.p.phase_exponent_on_basis(y)
+                    y ^= op.p.a
+                else:  # the eigenvalue of Q at y is 1 - k for k in {0, 2}
+                    lam = np.exp(1j * op.theta * (1 - op.q.phase_exponent_on_basis(y)))
                 phase *= lam
             want_phase.append(phase)
             want_perm.append(y)
@@ -139,7 +135,6 @@ class TestMonomialAlgebra:
     def test_identity(self):
         i = PauliMonomial(PauliOperator.identity(2))
         assert np.allclose(i.to_matrix(), np.eye(4))
-        assert np.allclose(i.adjoint().to_matrix(), np.eye(4))
 
 
 class TestConfig:

@@ -276,7 +276,7 @@ class TestBranches:
                 for take, p in reversed(list(zip(choice, extras))):
                     if take:
                         sigma = multiply(sigma, p)
-                mu, z = sigma.act_on_basis(xv)
+                mu, z = 1j ** sigma.phase_exponent_on_basis(xv), xv ^ sigma.a
                 want = evolve(z, c.inverse())
                 # same generators, so the same affine form and sample stream
                 assert psi.generators == want.generators
