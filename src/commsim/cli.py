@@ -19,7 +19,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .circuit import Circuit, NamedGate, PauliExpGate, parse_circuit, serialize_circuit
+from .circuit import (
+    Circuit,
+    NamedGate,
+    PauliExpGate,
+    _restrict_pauli,
+    _strip_comment,
+    parse_circuit,
+    serialize_circuit,
+)
 from .errors import CommsimError, ParseError
 from .estimator import EstimatorConfig
 from .local2 import ProductState, simulate_2local
@@ -58,6 +66,14 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _lines(path: str):
+    """``(line number, text)`` of each line left non-blank once its ``#`` comment goes."""
+    for no, raw in enumerate(_read(path).splitlines(), start=1):
+        line = _strip_comment(raw)
+        if line:
+            yield no, line
+
+
 def _load_circuit(path: str) -> Circuit:
     return parse_circuit(_read(path))
 
@@ -66,10 +82,7 @@ def _load_paulis(path: str) -> list[PauliOperator]:
     """A ``.pauli`` file: optional ``paulis <n>`` header, one operator per line."""
     n = None
     ops: list[PauliOperator] = []
-    for no, raw in enumerate(_read(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for no, line in _lines(path):
         toks = line.split()
         if toks[0] == "paulis":
             if ops or n is not None:
@@ -96,11 +109,10 @@ def _parse_obs(spec: str, n: int, d: int) -> Observable:
             if not 0 <= q < n:
                 raise ValueError(f"observable qubit {q + 1} outside the register")
         rows = []
-        for raw in _read(path).splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for no, line in _lines(path):
             vals = [float(t) for t in line.split()]
+            if len(vals) % 2:
+                raise ParseError(no, "matrix row needs a real and an imaginary part per entry")
             rows.append([complex(r, i) for r, i in zip(vals[::2], vals[1::2])])
         m = np.array(rows, dtype=complex)
         dim = d ** len(support)
@@ -119,8 +131,6 @@ def _parse_obs(spec: str, n: int, d: int) -> Observable:
         p = PauliOperator.single(1, spec[0].upper(), 0)
         return Observable((q,), p.to_matrix())
     p = parse_pauli(spec, n)
-    from .circuit import _restrict_pauli
-
     bits = p.a | p.b
     support = tuple(k for k in range(n) if (bits >> k) & 1)
     if not support:
@@ -149,10 +159,6 @@ def _cap(args) -> int:
     return cap
 
 
-def _estimator_cfg(args, seed: int) -> EstimatorConfig:
-    return dataclasses.replace(args.cfg, seed=seed, k_override=args.shots)
-
-
 def _gate_list(c: Circuit) -> list[tuple[float, PauliOperator]]:
     gates = []
     for i, g in enumerate(c.gates):
@@ -165,13 +171,11 @@ def _gate_list(c: Circuit) -> list[tuple[float, PauliOperator]]:
 def _load_extras(path: str, n: int) -> list[tuple[int, ExtraGate]]:
     """Extras file: one ``<slot> <theta> <pauli>`` per line.
 
-    ``slot`` counts how many member gates are applied before the extra.
+    ``slot`` counts how many member gates are applied before the extra; a
+    slot past the last member puts the extra at the end.
     """
     out = []
-    for no, raw in enumerate(_read(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for no, line in _lines(path):
         toks = line.split()
         if len(toks) != 3:
             raise ParseError(no, "extras line is '<slot> <theta> <pauli>'")
@@ -180,6 +184,8 @@ def _load_extras(path: str, n: int) -> list[tuple[int, ExtraGate]]:
             theta = float(toks[1])
         except ValueError as exc:
             raise ParseError(no, str(exc)) from None
+        if slot < 0:
+            raise ParseError(no, f"slot {slot} is negative")
         if not math.isfinite(theta):
             raise ParseError(no, f"angle {toks[1]!r} is not finite")
         out.append((slot, ExtraGate(theta, parse_pauli(toks[2], n, line_no=no))))
@@ -222,7 +228,7 @@ def _cmd_paulisim(args) -> int:
     c = _load_circuit(args.circuit)
     gates = _gate_list(c)
     seed = _resolve_seed(args)
-    cfg = _estimator_cfg(args, seed)
+    cfg = dataclasses.replace(args.cfg, k_override=args.shots)
     rng = np.random.default_rng(seed)
     x = args.input if args.input is not None else "0" * c.n
     qubit = args.qubit - 1
@@ -298,7 +304,7 @@ def _cmd_merge_layers(args) -> int:
 def _cmd_depth_overlap(args) -> int:
     u = _load_circuit(args.circuit)
     seed = _resolve_seed(args)
-    cfg = _estimator_cfg(args, seed)
+    cfg = dataclasses.replace(args.cfg, k_override=args.shots)
     rng = np.random.default_rng(seed)
     executor = DenseOracleExecutor(cap=_cap(args))
     if args.clifford:
@@ -331,37 +337,32 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"commsim {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, estimator=False, shots_help="total sample count (overrides the derived K)"):
-        p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
-        p.add_argument("--workers", type=int, default=1, help="parallelism hint")
+    def cap(p):
         p.add_argument(
             "--max-amplitudes",
             type=int,
             default=None,
             help=f"statevector capacity cap (default from ${CAP_ENV})",
         )
-        if estimator:
-            p.add_argument("--epsilon", type=float, default=0.05)
-            p.add_argument("--delta", type=float, default=0.01)
-            p.add_argument(
-                "--shots",
-                type=int,
-                default=None,
-                help=shots_help,
-            )
+
+    def estimator(p, shots_help="total sample count (overrides the derived K)"):
+        p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
+        p.add_argument("--workers", type=int, default=1, help="parallelism hint")
+        p.add_argument("--epsilon", type=float, default=0.05)
+        p.add_argument("--delta", type=float, default=0.01)
+        p.add_argument("--shots", type=int, default=None, help=shots_help)
 
     p = sub.add_parser("oracle", help="exact statevector expectation")
     p.add_argument("circuit")
     p.add_argument("--input", default=None, help="basis-state digit string")
     p.add_argument("--obs", required=True, help="Z1-style Pauli, Pauli string, or file@q1,q2")
-    common(p)
+    cap(p)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("sim2local", help="strong simulation of 2-local commuting circuits")
     p.add_argument("circuit")
     p.add_argument("--input", default=None, help="basis-state digit string")
     p.add_argument("--obs", required=True)
-    common(p)
     p.set_defaults(func=_cmd_sim2local)
 
     p = sub.add_parser("paulisim", help="weak simulation of Pauli-exponential circuits")
@@ -369,12 +370,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qubit", type=int, required=True, help="1-based Z observable qubit")
     p.add_argument("--input", default=None)
     p.add_argument("--extras", default=None, help="file of non-commuting extra gates")
-    common(p, estimator=True)
+    estimator(p)
     p.set_defaults(func=_cmd_paulisim)
 
     p = sub.add_parser("diagonalize", help="simultaneously diagonalize commuting Paulis")
     p.add_argument("paulis", help=".pauli file")
-    common(p)
     p.set_defaults(func=_cmd_diagonalize)
 
     for name, fn in (
@@ -384,25 +384,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help="emit an ancilla interference test circuit")
         p.add_argument("circuit")
         p.add_argument("--part", choices=("re", "im"), default="re")
-        common(p)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("merge-layers", help="merge two commuting layers into one test")
     p.add_argument("layer1")
     p.add_argument("layer2")
     p.add_argument("--part", choices=("re", "im"), default="re")
-    common(p)
     p.set_defaults(func=_cmd_merge_layers)
 
     p = sub.add_parser("depth-overlap", help="estimate |<0|U|0>|^2 for shallow circuits")
     p.add_argument("circuit")
     p.add_argument("--clifford", default=None, help="extra Clifford factor (.qc file)")
-    common(
+    estimator(
         p,
-        estimator=True,
         shots_help="number of subset draws (overrides the derived K); "
         "the shots per subset still follow --epsilon/--delta",
     )
+    cap(p)
     p.set_defaults(func=_cmd_depth_overlap)
 
     return top
@@ -411,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def dispatch(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.max_amplitudes is not None and args.max_amplitudes < 1:
+    if getattr(args, "max_amplitudes", None) is not None and args.max_amplitudes < 1:
         parser.error("--max-amplitudes must be a positive integer")
     if hasattr(args, "epsilon"):
         try:

@@ -69,11 +69,11 @@ class PhaseMismatch(CommsimError):
 
 
 class LightconeTooLarge(CommsimError):
-    """A qubit's backward lightcone exceeds the configured bound."""
+    """A qubit's backward lightcone exceeds the fixed bound."""
 
 
 class TooManyExtras(CommsimError):
-    """More non-commuting gates than the configured maximum."""
+    """More non-commuting gates than the fixed maximum."""
 
 
 class ZeroAmplitudeSample(CommsimError):

@@ -56,7 +56,6 @@ class EstimatorConfig:
 
     epsilon: float = 0.05
     delta: float = 0.01
-    seed: int | None = None
     k_override: int | None = None
 
     def __post_init__(self):
@@ -82,7 +81,6 @@ class EstimateResult:
     epsilon: float
     delta: float
     k: int
-    seed: int | None
     elapsed_ms: float
     max_modulus_violation: float = 0.0
 
@@ -232,7 +230,6 @@ def estimate_monomial_sandwich(
         epsilon=cfg.epsilon,
         delta=cfg.delta,
         k=k,
-        seed=cfg.seed,
         elapsed_ms=elapsed,
         max_modulus_violation=violation,
     )

@@ -34,11 +34,6 @@ def independent_indices(rows: list[int]) -> list[int]:
     return _echelon(rows)[1]
 
 
-def in_span(row: int, rows: list[int]) -> bool:
-    # membership needs no back substitution
-    return reduce_row(row, _echelon(rows)[0]) == 0
-
-
 def nullspace(rows: list[int], n: int) -> list[int]:
     """Basis of ``{y : parity(rows[i] & y) == 0}`` in an n-bit space."""
     piv = reduced_basis(rows)

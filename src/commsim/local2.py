@@ -38,7 +38,7 @@ FACTOR_NORM_TOL = 1e-10
 HERMITICITY_TOL = 1e-9
 PHASE_TOL = 1e-9
 
-DEFAULT_MAX_BLOCK = 3
+MAX_BLOCK = 3
 
 
 @dataclass
@@ -134,7 +134,6 @@ def simulate_2local(
     c: Circuit,
     inp: ProductState,
     obs: Observable,
-    max_block: int = DEFAULT_MAX_BLOCK,
     check: bool = True,
 ) -> float:
     """Exact ``<a|C^dag O C|a>`` in time independent of the register size."""
@@ -142,9 +141,9 @@ def simulate_2local(
         raise DimensionMismatch("input state and circuit disagree on register shape")
     if any(not 0 <= q < c.n for q in obs.support):
         raise DimensionMismatch("observable support outside the register")
-    if len(obs.support) > max_block:
+    if len(obs.support) > MAX_BLOCK:
         raise LocalityExceeded(
-            f"observable touches {len(obs.support)} qudits (block cap {max_block})"
+            f"observable touches {len(obs.support)} qudits (block cap {MAX_BLOCK})"
         )
     _check_2local(c)
     if check:
@@ -173,7 +172,6 @@ def simulate_2local_phase_commuting(
     gamma: np.ndarray,
     inp: ProductState,
     obs: Observable,
-    max_block: int = DEFAULT_MAX_BLOCK,
 ) -> float:
     """As :func:`simulate_2local` for gates commuting up to declared phases.
 
@@ -181,4 +179,4 @@ def simulate_2local_phase_commuting(
     verifying the table the plain contraction applies unchanged.
     """
     verify_phase_table(c, gamma)
-    return simulate_2local(c, inp, obs, max_block, check=False)
+    return simulate_2local(c, inp, obs, check=False)

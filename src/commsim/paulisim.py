@@ -47,7 +47,7 @@ from .stabilizer import (
     evolve,
 )
 
-DEFAULT_K_MAX = 10
+K_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def compile_commuting_pauli(
         c = CliffordCircuit(n, ())
         qs = []
     diag = [DiagonalZExp(theta, q) for (theta, _), q in zip(gates, qs)]
-    return c, diag, lambda p: conjugate_pauli(c, p, "inverse")
+    return c, diag, lambda p: conjugate_pauli(c.inverse(), p)
 
 
 def simulate_commuting_pauli(
@@ -118,7 +118,6 @@ def simulate_noncommuting_pauli(
     cfg: EstimatorConfig,
     rng: np.random.Generator,
     n: int | None = None,
-    k_max: int = DEFAULT_K_MAX,
 ) -> EstimateResult:
     """Estimate ``<Z_qubit>`` for members interleaved with a few extras.
 
@@ -138,8 +137,8 @@ def simulate_noncommuting_pauli(
     if any(g.pauli.n != n for g in program):
         raise SizeMismatch("gates act on different registers")
     k = len(extras)
-    if k > k_max:
-        raise TooManyExtras(f"{k} extra gates exceed the cap of {k_max}")
+    if k > K_MAX:
+        raise TooManyExtras(f"{k} extra gates exceed the cap of {K_MAX}")
     for g in extras:
         if not g.pauli.is_hermitian():
             raise NotHermitian("extra gate exponentiates a non-Hermitian Pauli")
@@ -184,7 +183,6 @@ def simulate_noncommuting_pauli(
         epsilon=cfg.epsilon,
         delta=cfg.delta,
         k=k_total,
-        seed=cfg.seed,
         elapsed_ms=(time.perf_counter() - t0) * 1e3,
         max_modulus_violation=max_violation,
     )
@@ -200,7 +198,7 @@ def _branches(program, c: CliffordCircuit, xv: int) -> list:
     members = [(i, g) for i, g in enumerate(program) if isinstance(g, MemberGate)]
     extras = [(i, g) for i, g in enumerate(program) if isinstance(g, ExtraGate)]
     psi0 = evolve(xv, c.inverse())
-    images = [conjugate_pauli(c, g.pauli, "inverse") for _, g in extras]
+    images = [conjugate_pauli(c.inverse(), g.pauli) for _, g in extras]
     branches = []
     for choice in itertools.product((0, 1), repeat=len(extras)):
         coeff = 1 + 0j

@@ -201,15 +201,11 @@ class CliffordTableau:
         return out
 
 
-def conjugate_pauli(
-    c: CliffordCircuit, p: PauliOperator, direction: str = "forward"
-) -> PauliOperator:
-    """``U P U^dag`` (forward) or ``U^dag P U`` (inverse) for U = circuit of c."""
-    if direction not in ("forward", "inverse"):
-        raise ValueError("direction must be 'forward' or 'inverse'")
+def conjugate_pauli(c: CliffordCircuit, p: PauliOperator) -> PauliOperator:
+    """``U P U^dag`` for U = circuit of c; pass ``c.inverse()`` for ``U^dag P U``."""
     if p.n != c.n:
         raise SizeMismatch("Pauli width differs from circuit width")
-    return _conj_rows([p], (c if direction == "forward" else c.inverse()).gates)[0]
+    return _conj_rows([p], c.gates)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +457,9 @@ class StabilizerState:
         k = g.phase_exponent_on_basis(self.anchor_y)
         return _I4[k] * self.anchor_amp
 
-    def amplitude(self, y, phased: bool = False) -> complex:
+    def amplitude(self, y) -> complex:
         """Exact ``<y|psi>``; by convention the least support element is positive."""
         y = _as_int_label(y, self.n)
-        if phased:
-            return self.amplitude_raw(y)
         aff = self.affine_form()
         a0 = self.amplitude_raw(aff.y0)
         ay = self.amplitude_raw(y)
@@ -687,15 +681,18 @@ def _complete(indep: list[PauliOperator], n: int) -> StabilizerState:
     while len(gens) < n:
         # symplectic orthogonality: v commutes with w iff parity(v & swap(w)) = 0
         cons = [_swap_halves(g.r, n) for g in gens]
-        for v in gf2.nullspace(cons, 2 * n):
-            if not gf2.in_span(v, [g.r for g in gens]):
-                a = v & ((1 << n) - 1)
-                b = v >> n
-                t = (a & b).bit_count() & 1  # smallest Hermitian phase
-                gens.append(PauliOperator(n, t, a, b))
-                break
-        else:
+        rows = [g.r for g in gens]
+        null = gf2.nullspace(cons, 2 * n)
+        # the rows are independent, so the first index kept past them is the
+        # first nullspace vector outside their span
+        keep = gf2.independent_indices(rows + null)
+        if len(keep) == len(rows):
             raise AssertionError("isotropic extension failed")
+        v = null[keep[len(rows)] - len(rows)]
+        a = v & ((1 << n) - 1)
+        b = v >> n
+        t = (a & b).bit_count() & 1  # smallest Hermitian phase
+        gens.append(PauliOperator(n, t, a, b))
     return StabilizerState(gens, check=False)
 
 

@@ -41,7 +41,7 @@ _HSDG = _H @ _SDG  # final ancilla rotation for the imaginary part
 # Re(i^t w) = +-Re w (t even) or -+Im w (t odd)
 _RE_SIGN = (1.0, -1.0, -1.0, 1.0)
 
-DEFAULT_LIGHTCONE_BOUND = 8
+LIGHTCONE_BOUND = 8
 # the subset sampler draws each subset as one uint64 bit mask
 MAX_SUBSET_QUBITS = 64
 
@@ -90,7 +90,7 @@ def p0_to_value(p0: float) -> float:
     return 2.0 * p0 - 1.0
 
 
-def hadamard_test(c: Circuit, part: str = "real", check: bool = True) -> Circuit:
+def hadamard_test(c: Circuit, part: str = "real") -> Circuit:
     """Fold a commuting circuit into an ancilla test for Re/Im <0|C|0>.
 
     Each gate becomes (A (x) I) . controlled-G . (H (x) I) on n+1 qubits with
@@ -101,8 +101,7 @@ def hadamard_test(c: Circuit, part: str = "real", check: bool = True) -> Circuit
         raise ValueError("part must be 'real' or 'imag'")
     if c.d != 2:
         raise ValueError("the ancilla test is defined for qubits")
-    if check:
-        check_pairwise_commuting(c)
+    check_pairwise_commuting(c)
     if not c.gates:
         # bare test on the ancilla alone: p(0) = 1 (real) encodes <0|I|0> = 1
         gates = [DenseGate((0,), _ancilla_fold(np.eye(2, dtype=complex), 0,
@@ -209,7 +208,7 @@ def _merge_by_support(c: Circuit) -> dict[tuple[int, ...], np.ndarray]:
 # constant-depth overlap estimation
 
 
-def _conjugate_through(u: Circuit, p: PauliOperator, bound: int):
+def _conjugate_through(u: Circuit, p: PauliOperator):
     """Dense ``U^dag P U`` restricted to the backward lightcone.
 
     Returns (support tuple, matrix).  Gates outside the cone cancel between
@@ -228,9 +227,9 @@ def _conjugate_through(u: Circuit, p: PauliOperator, bound: int):
         om = embed_matrix(m, sup, reg, u.d)
         m = gm.conj().T @ om @ gm
         sup = reg
-        if len(sup) > bound:
+        if len(sup) > LIGHTCONE_BOUND:
             raise LightconeTooLarge(
-                f"conjugated observable spread to {len(sup)} qubits (bound {bound})"
+                f"conjugated observable spread to {len(sup)} qubits (bound {LIGHTCONE_BOUND})"
             )
     return sup, m
 
@@ -262,7 +261,6 @@ def estimate_cd_overlap(
     cfg: EstimatorConfig,
     executor: GammaKExecutor,
     rng: np.random.Generator,
-    lightcone_bound: int = DEFAULT_LIGHTCONE_BOUND,
 ) -> EstimateResult:
     """Estimate ``|<0|U|0>|^2`` for a shallow circuit via subset sampling.
 
@@ -272,7 +270,7 @@ def estimate_cd_overlap(
     between subset sampling and the per-subset tests.  This is the C = I
     case of :func:`estimate_cd_clifford_overlap`.
     """
-    return _estimate_overlap(u, CliffordCircuit(u.n, ()), cfg, executor, rng, lightcone_bound)
+    return _estimate_overlap(u, CliffordCircuit(u.n, ()), cfg, executor, rng)
 
 
 def estimate_cd_clifford_overlap(
@@ -281,7 +279,6 @@ def estimate_cd_clifford_overlap(
     cfg: EstimatorConfig,
     executor: GammaKExecutor,
     rng: np.random.Generator,
-    lightcone_bound: int = DEFAULT_LIGHTCONE_BOUND,
 ) -> EstimateResult:
     """Estimate ``|<0|C U|0>|^2`` for shallow U times an arbitrary Clifford C.
 
@@ -291,7 +288,7 @@ def estimate_cd_clifford_overlap(
     A merged gate depends only on its support, the X and Z bits of the image
     there and whether it closes an Im test, so each is built once per call.
     """
-    return _estimate_overlap(u, c, cfg, executor, rng, lightcone_bound)
+    return _estimate_overlap(u, c, cfg, executor, rng)
 
 
 def _estimate_overlap(
@@ -300,7 +297,6 @@ def _estimate_overlap(
     cfg: EstimatorConfig,
     executor: GammaKExecutor,
     rng: np.random.Generator,
-    lightcone_bound: int,
 ) -> EstimateResult:
     """The one overlap estimator behind both public entry points.
 
@@ -313,7 +309,7 @@ def _estimate_overlap(
     if c.n != n:
         raise SizeMismatch("Clifford and circuit act on different registers")
     conj_z = [
-        DenseGate(*_conjugate_through(u, PauliOperator(n, 0, 0, 1 << k), lightcone_bound))
+        DenseGate(*_conjugate_through(u, PauliOperator(n, 0, 0, 1 << k)))
         for k in range(n)
     ]
     masks, counts, k_sub, shots_per = _subset_plan(n, cfg, rng)
@@ -326,7 +322,7 @@ def _estimate_overlap(
     for p in images[n:]:
         x_used |= p.a
     conj_x = {
-        k: DenseGate(*_conjugate_through(u, PauliOperator(n, 0, 1 << k, 0), lightcone_bound))
+        k: DenseGate(*_conjugate_through(u, PauliOperator(n, 0, 1 << k, 0)))
         for k in range(n)
         if (x_used >> k) & 1
     }
@@ -379,6 +375,5 @@ def _estimate_overlap(
         epsilon=cfg.epsilon,
         delta=cfg.delta,
         k=k_sub,
-        seed=cfg.seed,
         elapsed_ms=(time.perf_counter() - t0) * 1e3,
     )

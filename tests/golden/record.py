@@ -2,13 +2,16 @@
 
 ``tests/test_golden.py`` replays each case with :func:`run_library`,
 :func:`run_paulisim_command` or :func:`run_command` and compares the result
-with the recorded one.  Running this file re-records every case of both
-files on the current tree:
+with the recorded one by :func:`_same`.  Running this file re-records every
+case of both files on the current tree:
 
     PYTHONPATH=src python tests/golden/record.py
 
-Only a change that means to move these outputs may do so, and CHANGES.md
-then says which values moved and why.
+A file is rewritten only when its case list changed or some recorded value
+moved by more than the replay tolerance, so last-bit float noise stays out
+of the file a re-record was not meant for.  Only a change that means to
+move these outputs may re-record, and CHANGES.md then says which values
+moved and why.
 """
 
 from __future__ import annotations
@@ -35,6 +38,31 @@ from commsim.stabilizer import conjugate_pauli, random_clifford_circuit
 
 GOLDEN = Path(__file__).resolve().parent / "paulisim.json"
 GOLDEN_CLI = GOLDEN.with_name("cli.json")
+FLOAT_TOL = 1e-12
+
+
+def _token(tok: str):
+    try:
+        return float(tok)
+    except ValueError:
+        return tok
+
+
+def _same(got, want) -> bool:
+    """Ints, strings and bools exactly, floats to FLOAT_TOL, containers per item."""
+    if isinstance(want, dict):
+        return isinstance(got, dict) and got.keys() == want.keys() and all(
+            _same(got[k], want[k]) for k in want
+        )
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) and all(
+            _same(g, w) for g, w in zip(got, want)
+        )
+    if isinstance(want, float):
+        return isinstance(got, float) and abs(got - want) <= FLOAT_TOL
+    if isinstance(want, str) and isinstance(got, str) and got != want:
+        return _same([_token(t) for t in got.split()], [_token(t) for t in want.split()])
+    return type(got) is type(want) and got == want
 
 
 def run_library(case) -> dict:
@@ -225,8 +253,18 @@ def main():
             case["want"] = run_paulisim_command(case, Path(tmp))
         for case in commands:
             case["want"] = run_command(case, Path(tmp))
-    GOLDEN.write_text(json.dumps({"library": lib, "cli": cli}, indent=1) + "\n")
-    GOLDEN_CLI.write_text(json.dumps({"commands": commands}, indent=1) + "\n")
+    _write_if_moved(GOLDEN, {"library": lib, "cli": cli})
+    _write_if_moved(GOLDEN_CLI, {"commands": commands})
+
+
+def _write_if_moved(path: Path, data: dict):
+    """Write ``data`` unless ``path`` already holds the same cases and values."""
+    text = json.dumps(data, indent=1) + "\n"
+    if path.exists() and _same(json.loads(text), json.loads(path.read_text())):
+        print(f"{path.name}: unchanged")
+        return
+    path.write_text(text)
+    print(f"{path.name}: written")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from commsim.circuit import parse_circuit
-from commsim.cli import dispatch
+from commsim.cli import _build_parser, dispatch
 from commsim.pauli import parse_pauli
 
 
@@ -226,6 +226,13 @@ class TestErrorsAndDeterminism:
         assert code == 1 and not out
         assert f"observable qubit {qubit} outside the register" in err
 
+    def test_obs_matrix_odd_row_rejected(self, qc, capsys):
+        # the trailing 5 used to be dropped and the value printed as 1.0
+        cpath = qc("c.qc", "circuit 2\nexppauli 0.4 ZZ\n")
+        opath = qc("z.txt", "1 0 0 0 5\n0 0 -1 0 7\n")
+        code, out, err = run_cli(capsys, "oracle", cpath, "--obs", f"{opath}@1")
+        assert code == 1 and not out and "line 1" in err
+
     def test_obs_matrix_shape_mismatch(self, qc, capsys):
         cpath = qc("c.qc", "circuit 2\nh 1\n")
         opath = qc("m.mat", "1 0 0 0 0 0\n0 0 1 0 0 0\n0 0 0 0 1 0\n")
@@ -332,6 +339,15 @@ class TestErrorsAndDeterminism:
         )
         assert code == 1 and not out and "not finite" in err
 
+    def test_negative_extras_slot_rejected(self, qc, capsys):
+        # slot -2 used to be read as slot 0
+        path = qc("c.qc", "circuit 2\nexppauli 0.4 ZZ\n")
+        extras = qc("e.txt", "# slot theta pauli\n-2 0.3 XI\n")
+        code, out, err = run_cli(
+            capsys, "paulisim", path, "--qubit", "1", "--seed", "1", "--extras", extras
+        )
+        assert code == 1 and not out and "line 2" in err and "negative" in err
+
     def test_stdout_deterministic_across_workers(self, qc, capsys):
         path = qc("c.qc", BELLISH)
         outs = []
@@ -352,3 +368,47 @@ class TestErrorsAndDeterminism:
         seed_line = [l for l in err.splitlines() if l.startswith("seed:")]
         assert len(seed_line) == 1
         assert jline(out)["seed"] == int(seed_line[0].split()[1])
+
+
+ESTIMATOR_FLAGS = ["--seed", "--workers", "--epsilon", "--delta", "--shots"]
+FLAGS = {
+    "oracle": ["--input", "--obs", "--max-amplitudes"],
+    "sim2local": ["--input", "--obs"],
+    "paulisim": ["--qubit", "--input", "--extras", *ESTIMATOR_FLAGS],
+    "diagonalize": [],
+    "hadamard-test": ["--part"],
+    "alt-hadamard-test": ["--part"],
+    "merge-layers": ["--part"],
+    "depth-overlap": ["--clifford", *ESTIMATOR_FLAGS, "--max-amplitudes"],
+}
+# the arguments each command requires, so a parse fails only on the flag tested
+REQUIRED = {
+    "oracle": ["c.qc", "--obs", "Z1"],
+    "sim2local": ["c.qc", "--obs", "Z1"],
+    "paulisim": ["c.qc", "--qubit", "1"],
+    "diagonalize": ["s.pauli"],
+    "merge-layers": ["l1.qc", "l2.qc"],
+}
+
+
+class TestFlagsHaveReaders:
+    def test_option_table(self):
+        (sub,) = [a for a in _build_parser()._actions if a.choices and a.dest == "command"]
+        got = {
+            name: [o for a in p._actions if a.dest != "help" for o in a.option_strings]
+            for name, p in sub.choices.items()
+        }
+        assert got == FLAGS
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(c, "--seed") for c, f in FLAGS.items() if "--seed" not in f]
+        + [(c, "--max-amplitudes") for c, f in FLAGS.items() if "--max-amplitudes" not in f],
+    )
+    def test_unread_flag_is_usage_error(self, capsys, command, flag):
+        argv = [command, *REQUIRED.get(command, ["c.qc"]), flag, "4"]
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv)
+        assert exc.value.code == 2
+        cap = capsys.readouterr()
+        assert not cap.out and flag in cap.err

@@ -16,37 +16,19 @@ import json
 import math
 
 import pytest
-from golden.record import GOLDEN, GOLDEN_CLI, run_command, run_library, run_paulisim_command
+from golden.record import (
+    GOLDEN,
+    GOLDEN_CLI,
+    _same,
+    run_command,
+    run_library,
+    run_paulisim_command,
+)
 
 from commsim.cli import _build_parser
 
-FLOAT_TOL = 1e-12
 CASES = json.loads(GOLDEN.read_text())
 COMMANDS = json.loads(GOLDEN_CLI.read_text())["commands"]
-
-
-def _token(tok: str):
-    try:
-        return float(tok)
-    except ValueError:
-        return tok
-
-
-def _same(got, want) -> bool:
-    """Ints, strings and bools exactly, floats to FLOAT_TOL, containers per item."""
-    if isinstance(want, dict):
-        return isinstance(got, dict) and got.keys() == want.keys() and all(
-            _same(got[k], want[k]) for k in want
-        )
-    if isinstance(want, list):
-        return isinstance(got, list) and len(got) == len(want) and all(
-            _same(g, w) for g, w in zip(got, want)
-        )
-    if isinstance(want, float):
-        return isinstance(got, float) and abs(got - want) <= FLOAT_TOL
-    if isinstance(want, str) and isinstance(got, str) and got != want:
-        return _same([_token(t) for t in got.split()], [_token(t) for t in want.split()])
-    return type(got) is type(want) and got == want
 
 
 @pytest.mark.parametrize("case", CASES["library"], ids=lambda c: c["name"])

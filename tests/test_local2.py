@@ -148,7 +148,6 @@ class TestValidation:
         obs = Observable((0, 1, 2, 3), random_hermitian(16, rng))
         with pytest.raises(LocalityExceeded):
             simulate_2local(c, inp, obs)
-        simulate_2local(c, inp, obs, max_block=4)
 
     def test_register_mismatch(self, rng):
         c = commuting_pauli_exp_circuit(4, 4, rng)

@@ -127,7 +127,7 @@ class TestCommutingSimulation:
         # theta -> -theta together with P -> -P is the same circuit
         gl1 = [(0.9, parse_pauli("ZX"))]
         gl2 = [(-0.9, parse_pauli("-ZX"))]
-        cfg = EstimatorConfig(epsilon=0.1, delta=0.02, seed=7)
+        cfg = EstimatorConfig(epsilon=0.1, delta=0.02)
         r1 = simulate_commuting_pauli(gl1, 2, 0, cfg, np.random.default_rng(7))
         r2 = simulate_commuting_pauli(gl2, 2, 0, cfg, np.random.default_rng(7))
         assert r1.value == pytest.approx(r2.value, abs=1e-12)
@@ -215,7 +215,7 @@ class TestNonCommutingSimulation:
         n = 3
         ps = random_commuting_paulis(n, 3, rng)
         gate_list = [(float(rng.uniform(0, 2 * np.pi)), p) for p in ps]
-        cfg = EstimatorConfig(epsilon=0.1, delta=0.02, seed=11)
+        cfg = EstimatorConfig(epsilon=0.1, delta=0.02)
         r1 = simulate_commuting_pauli(gate_list, 5, 1, cfg, np.random.default_rng(11))
         r2 = simulate_noncommuting_pauli(
             [MemberGate(th, p) for th, p in gate_list], 5, 1, cfg, np.random.default_rng(11)
@@ -224,12 +224,10 @@ class TestNonCommutingSimulation:
 
     def test_too_many_extras(self, rng):
         program = [MemberGate(0.1, parse_pauli("ZZ"))] + [
-            ExtraGate(0.1, parse_pauli("XI")) for _ in range(3)
+            ExtraGate(0.1, parse_pauli("XI")) for _ in range(11)
         ]
-        with pytest.raises(TooManyExtras):
-            simulate_noncommuting_pauli(
-                program, 0, 0, EstimatorConfig(k_override=5), rng, k_max=2
-            )
+        with pytest.raises(TooManyExtras, match="11 extra gates exceed the cap of 10"):
+            simulate_noncommuting_pauli(program, 0, 0, EstimatorConfig(k_override=5), rng)
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):

@@ -136,12 +136,12 @@ class TestConjugation:
             for _ in range(5):
                 p = _random_wide_pauli(n, rng)
                 assert conjugate_pauli(c, p) == p
-                assert conjugate_pauli(c, p, "inverse") == p
+                assert conjugate_pauli(c.inverse(), p) == p
 
     def test_inverse_direction(self, rng):
         c = random_clifford_circuit(3, 10, rng)
         p = _random_pauli(3, rng)
-        assert conjugate_pauli(c, conjugate_pauli(c, p), "inverse") == p
+        assert conjugate_pauli(c.inverse(), conjugate_pauli(c, p)) == p
 
     def test_circuit_inverse_is_unitary_inverse(self, rng):
         c = random_clifford_circuit(3, 10, rng)
@@ -176,7 +176,7 @@ class TestConjugationBeyond64:
         c = random_clifford_circuit(n, 10 * n, rng)
         for _ in range(5):
             p = _random_wide_pauli(n, rng)
-            assert conjugate_pauli(c, conjugate_pauli(c, p), "inverse") == p
+            assert conjugate_pauli(c.inverse(), conjugate_pauli(c, p)) == p
 
     @pytest.mark.parametrize("n", [100, 130])
     def test_tableau_matches_conjugate_pauli(self, n, rng):

@@ -345,10 +345,11 @@ class TestOverlapEstimators:
         assert misses == 0
 
     def test_lightcone_bound(self, rng):
-        u = random_shallow_circuit(10, 4, rng)
+        # a CNOT staircase: the backward lightcone of Z_10 spans all 10 qubits
+        u = Circuit(10, 2, [NamedGate("cnot", (k, k + 1)) for k in range(9)])
         cfg = EstimatorConfig(epsilon=0.3, delta=0.2, k_override=4)
-        with pytest.raises(LightconeTooLarge):
-            estimate_cd_overlap(u, cfg, DenseOracleExecutor(), rng, lightcone_bound=2)
+        with pytest.raises(LightconeTooLarge, match="spread to 9 qubits"):
+            estimate_cd_overlap(u, cfg, DenseOracleExecutor(), rng)
 
     def test_clifford_variant_matches_dense(self, rng):
         misses = 0
@@ -371,7 +372,7 @@ class TestOverlapEstimators:
         for sizes in (None, [1, 1]):
             u = Circuit(3, 2, gates, layer_sizes=sizes)
             for j in range(3):
-                _, m = _conjugate_through(u, PauliOperator(3, 0, 0, 1 << j), 3)
+                _, m = _conjugate_through(u, PauliOperator(3, 0, 0, 1 << j))
                 # <0|U^dag Z_j U|0> = sum_y |<y|U|0>|^2 (-1)^{y_j}, qubit 1 most significant
                 want = sum(p * (-1) ** ((y >> (2 - j)) & 1) for y, p in enumerate(probs))
                 assert m[0, 0].real == pytest.approx(want, abs=1e-12)
@@ -399,7 +400,7 @@ class TestOverlapEstimators:
     def test_identity_observable_raises_before_any_matrix(self):
         # a 2^40-dimensional identity would not fit in memory
         with pytest.raises(ValueError, match="no pivot"):
-            _conjugate_through(Circuit(40, 2, []), PauliOperator.identity(40), 8)
+            _conjugate_through(Circuit(40, 2, []), PauliOperator.identity(40))
 
     @pytest.mark.parametrize(
         "seed,n,plain,clifford",
@@ -450,11 +451,11 @@ class TestOverlapEstimators:
         monkeypatch.undo()
         masks = _subset_plan(n, cfg, np.random.default_rng(5))[0].tolist()
         assert len(ex.tests) == len(masks)
-        cx = [_conjugate_through(u, PauliOperator(n, 0, 1 << k, 0), 8) for k in range(n)]
-        cz = [_conjugate_through(u, PauliOperator(n, 0, 0, 1 << k), 8) for k in range(n)]
+        cx = [_conjugate_through(u, PauliOperator(n, 0, 1 << k, 0)) for k in range(n)]
+        cz = [_conjugate_through(u, PauliOperator(n, 0, 0, 1 << k)) for k in range(n)]
         keys, parts = set(), set()
         for test, mask in zip(ex.tests, masks):
-            p = conjugate_pauli(c, PauliOperator(n, 0, 0, mask), "inverse")
+            p = conjugate_pauli(c.inverse(), PauliOperator(n, 0, 0, mask))
             part = "real" if p.t % 2 == 0 else "imag"
             parts.add(part)
             layer1 = Circuit(n, 2, [DenseGate(*cx[k]) for k in range(n) if (p.a >> k) & 1])
