@@ -197,6 +197,15 @@ def cli_instances() -> list[dict]:
     shallow = "circuit 3\nh 1\nexppauli 0.6 XZI\nexppauli -0.4 IZX\n"
     # images of Z(S) under this Clifford carry every phase i^t, t = 0..3
     phased = "circuit 3\ncz 1 2\nz 1\nh 3\ncz 3 2\ns 3\nh 1\ns 2\nh 3\n"
+    # two gates on one support, and controlled gates whose control sits above
+    # and below (or between) the inner support
+    ctrl = ("circuit 3\nexppauli 0.4 ZZI\nexppauli -0.7 ZZI\nctrl 3 z 1\nctrl 1 z 3\n"
+            "ctrl 2 cz 1 3\nexppauli 0.3 IIZ\n")
+    # a non-symmetric two-qubit unitary, given with its qudits out of order
+    cyc = " ".join(["0 0 1 0 0 0 0 0", "0 0 0 0 0 1 0 0", "0 0 0 0 0 0 1 0",
+                    "0 1 0 0 0 0 0 0"])
+    ctrl_dense = (f"circuit 3\nh 1\nh 3\nctrl 1 h 2\nctrl 3 h 1\nctrl 3 dense 2 2 1 {cyc}\n"
+                  f"ctrl 2 dense 2 3 1 {cyc}\nctrl 1 dense 2 2 3 {cyc}\n")
     # a two-qubit Hermitian observable as a matrix file, re-im pairs per entry
     obs = (
         "1 0 0.5 0 0 0 0 0.2\n0.5 0 -0.5 0 0.3 0 0 0\n"
@@ -206,6 +215,9 @@ def cli_instances() -> list[dict]:
     def case(name, argv, files):
         return dict(name=name, argv=argv, files=files)
 
+    # layers with two gates on one support each, merged into one gate per support
+    shared1 = "circuit 3\nexppauli 0.3 ZZI\nexppauli -0.6 ZZI\nexppauli 0.2 IIZ\n"
+    shared2 = "circuit 3\nexppauli 0.5 XXI\nexppauli 0.4 XIX\nexppauli -1.1 XXI\n"
     estimate = ["--epsilon", "0.2", "--delta", "0.1", "--shots", "40"]
     return [
         case("diagonalize-full-rank", ["diagonalize", "{tmp}/s.pauli"],
@@ -218,6 +230,8 @@ def cli_instances() -> list[dict]:
         case("oracle-matrix-file",
              ["oracle", "{tmp}/c.qc", "--input", "011", "--obs", "{tmp}/o.txt@1,3"],
              {"c.qc": mixed, "o.txt": obs}),
+        case("oracle-controlled", ["oracle", "{tmp}/c.qc", "--input", "010", "--obs", "YXZ"],
+             {"c.qc": ctrl_dense}),
         case("sim2local-z", ["sim2local", "{tmp}/c.qc", "--input", "01", "--obs", "Z1"],
              {"c.qc": bellish}),
         case("sim2local-matrix-file",
@@ -226,6 +240,11 @@ def cli_instances() -> list[dict]:
         case("hadamard-test-re", ["hadamard-test", "{tmp}/c.qc"], {"c.qc": chain}),
         case("hadamard-test-im", ["hadamard-test", "{tmp}/c.qc", "--part", "im"],
              {"c.qc": bellish}),
+        case("hadamard-test-empty-re", ["hadamard-test", "{tmp}/c.qc"], {"c.qc": "circuit 2\n"}),
+        case("hadamard-test-empty-im", ["hadamard-test", "{tmp}/c.qc", "--part", "im"],
+             {"c.qc": "circuit 2\n"}),
+        case("hadamard-test-controlled", ["hadamard-test", "{tmp}/c.qc", "--part", "im"],
+             {"c.qc": ctrl}),
         case("alt-hadamard-test-re", ["alt-hadamard-test", "{tmp}/c.qc"], {"c.qc": mixed}),
         case("alt-hadamard-test-im", ["alt-hadamard-test", "{tmp}/c.qc", "--part", "im"],
              {"c.qc": shallow}),
@@ -233,6 +252,11 @@ def cli_instances() -> list[dict]:
              {"l1.qc": "circuit 2\nexppauli 0.3 ZZ\n", "l2.qc": "circuit 2\nexppauli 0.5 ZI\n"}),
         case("merge-layers-im", ["merge-layers", "{tmp}/l1.qc", "{tmp}/l2.qc", "--part", "im"],
              {"l1.qc": chain, "l2.qc": "circuit 3\nexppauli -0.8 XIX\nexppauli 0.2 IXI\n"}),
+        case("merge-layers-shared-re", ["merge-layers", "{tmp}/l1.qc", "{tmp}/l2.qc"],
+             {"l1.qc": shared1, "l2.qc": shared2}),
+        case("merge-layers-shared-im",
+             ["merge-layers", "{tmp}/l1.qc", "{tmp}/l2.qc", "--part", "im"],
+             {"l1.qc": shared1, "l2.qc": shared2}),
         case("depth-overlap", ["depth-overlap", "{tmp}/u.qc", "--seed", "31", *estimate],
              {"u.qc": shallow}),
         case("depth-overlap-clifford",
