@@ -181,19 +181,20 @@ def gate_matrix(g: Gate, d: int) -> np.ndarray:
         return math.cos(g.theta) * np.eye(dim) + 1j * math.sin(g.theta) * p
     if isinstance(g, ControlledGate):
         inner = gate_matrix(g.inner, d)
-        inner_sup = tuple(sorted(g.inner.support))
-        sup = g.support
         if g.control in g.inner.support:
             raise ValueError("control qubit overlaps the inner gate support")
-        # embed inner on sup minus control, then order (control, rest)
-        rest = tuple(q for q in sup if q != g.control)
-        inner_full = embed_matrix(inner, inner_sup, rest, d)
-        dim = inner_full.shape[0]
-        block = np.zeros((2 * dim, 2 * dim), dtype=complex)
-        block[:dim, :dim] = np.eye(dim)
-        block[dim:, dim:] = inner_full
-        return _permute_axes(block, (g.control, *rest), sup, d)
+        block = _two_branch_block(np.eye(inner.shape[0]), inner)
+        return _permute_axes(block, (g.control, *g.inner.support), g.support, d)
     raise TypeError(f"unknown gate {g!r}")
+
+
+def _two_branch_block(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """diag(m0, m1): the leading qubit selects the branch, m0 when it is |0>."""
+    dim = m0.shape[0]
+    out = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    out[:dim, :dim] = m0
+    out[dim:, dim:] = m1
+    return out
 
 
 def _restrict_pauli(p: PauliOperator) -> PauliOperator:

@@ -29,7 +29,7 @@ from .circuit import (
     serialize_circuit,
 )
 from .errors import CommsimError, ParseError
-from .estimator import EstimatorConfig
+from .estimator import EstimateResult, EstimatorConfig
 from .local2 import ProductState, simulate_2local
 from .oracle import DEFAULT_CAP, DenseOracleExecutor, Observable, expectation, run_circuit
 from .pauli import PauliOperator, format_pauli, parse_pauli
@@ -39,7 +39,7 @@ from .paulisim import (
     simulate_commuting_pauli,
     simulate_noncommuting_pauli,
 )
-from .stabilizer import CLIFFORD_GATES, CliffordCircuit, diagonalize_commuting_set
+from .stabilizer import CliffordCircuit, diagonalize_commuting_set
 from .transformers import (
     alternate_hadamard_test,
     estimate_cd_clifford_overlap,
@@ -59,6 +59,28 @@ def _emit(obj: dict):
 
 def _note(msg: str):
     sys.stderr.write(msg + "\n")
+
+
+def _emit_circuit(c: Circuit) -> int:
+    """The stdout line of the commands that emit a test circuit."""
+    _emit({"circuit": serialize_circuit(c), "gates": len(c.gates)})
+    return 0
+
+
+def _emit_estimate(res: EstimateResult, seed: int) -> int:
+    """The stderr timing note and the stdout line of the sampling estimators."""
+    _note(f"elapsed_ms: {res.elapsed_ms:.1f}")
+    _emit(
+        {
+            "value": res.value,
+            "raw_value": res.raw_value,
+            "epsilon": res.epsilon,
+            "delta": res.delta,
+            "K": res.k,
+            "seed": seed,
+        }
+    )
+    return 0
 
 
 def _read(path: str) -> str:
@@ -104,13 +126,21 @@ def _parse_obs(spec: str, n: int, d: int) -> Observable:
     """``Z1``-style single-qubit Pauli, a full Pauli string, or ``file@q1,q2``."""
     if "@" in spec:
         path, _, qs = spec.partition("@")
-        support = tuple(sorted(int(t) - 1 for t in qs.split(",")))
+        try:
+            support = tuple(sorted(int(t) - 1 for t in qs.split(",")))
+        except ValueError:
+            raise ValueError(
+                f"observable {spec!r} needs comma-separated qubit numbers after '@'"
+            ) from None
         for q in support:
             if not 0 <= q < n:
                 raise ValueError(f"observable qubit {q + 1} outside the register")
         rows = []
         for no, line in _lines(path):
-            vals = [float(t) for t in line.split()]
+            try:
+                vals = [float(t) for t in line.split()]
+            except ValueError as exc:
+                raise ParseError(no, str(exc)) from None
             if len(vals) % 2:
                 raise ParseError(no, "matrix row needs a real and an imaginary part per entry")
             rows.append([complex(r, i) for r, i in zip(vals[::2], vals[1::2])])
@@ -196,7 +226,7 @@ def _load_clifford(path: str) -> CliffordCircuit:
     c = _load_circuit(path)
     gates = []
     for i, g in enumerate(c.gates):
-        if not isinstance(g, NamedGate) or g.name not in CLIFFORD_GATES:
+        if not isinstance(g, NamedGate):
             raise ValueError(f"gate {i + 1} is not a named Clifford gate")
         gates.append((g.name, g.qubits))
     return CliffordCircuit(c.n, tuple(gates))
@@ -248,18 +278,7 @@ def _cmd_paulisim(args) -> int:
         res = simulate_noncommuting_pauli(program, x, qubit, cfg, rng, n=c.n)
     else:
         res = simulate_commuting_pauli(gates, x, qubit, cfg, rng, n=c.n)
-    _note(f"elapsed_ms: {res.elapsed_ms:.1f}")
-    _emit(
-        {
-            "value": res.value,
-            "raw_value": res.raw_value,
-            "epsilon": res.epsilon,
-            "delta": res.delta,
-            "K": res.k,
-            "seed": seed,
-        }
-    )
-    return 0
+    return _emit_estimate(res, seed)
 
 
 def _cmd_diagonalize(args) -> int:
@@ -280,25 +299,17 @@ def _part(args) -> str:
 
 
 def _cmd_hadamard_test(args) -> int:
-    c = _load_circuit(args.circuit)
-    out = hadamard_test(c, _part(args))
-    _emit({"circuit": serialize_circuit(out), "gates": len(out.gates)})
-    return 0
+    return _emit_circuit(hadamard_test(_load_circuit(args.circuit), _part(args)))
 
 
 def _cmd_alt_hadamard_test(args) -> int:
-    c = _load_circuit(args.circuit)
-    out = alternate_hadamard_test(c, _part(args))
-    _emit({"circuit": serialize_circuit(out), "gates": len(out.gates)})
-    return 0
+    return _emit_circuit(alternate_hadamard_test(_load_circuit(args.circuit), _part(args)))
 
 
 def _cmd_merge_layers(args) -> int:
     c1 = _load_circuit(args.layer1)
     c2 = _load_circuit(args.layer2)
-    out = two_layer_merge(c1, c2, _part(args))
-    _emit({"circuit": serialize_circuit(out), "gates": len(out.gates)})
-    return 0
+    return _emit_circuit(two_layer_merge(c1, c2, _part(args)))
 
 
 def _cmd_depth_overlap(args) -> int:
@@ -312,18 +323,7 @@ def _cmd_depth_overlap(args) -> int:
         res = estimate_cd_clifford_overlap(u, cliff, cfg, executor, rng)
     else:
         res = estimate_cd_overlap(u, cfg, executor, rng)
-    _note(f"elapsed_ms: {res.elapsed_ms:.1f}")
-    _emit(
-        {
-            "value": res.value,
-            "raw_value": res.raw_value,
-            "epsilon": res.epsilon,
-            "delta": res.delta,
-            "K": res.k,
-            "seed": seed,
-        }
-    )
-    return 0
+    return _emit_estimate(res, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gf2
-from .circuit import Circuit, NamedGate
+from .circuit import NAMED_ARITY, Circuit, NamedGate
 from .errors import (
     DependentInput,
     MinusIdentity,
@@ -54,7 +54,6 @@ from .errors import (
 from .oracle import parse_basis_label
 from .pauli import _I4, PauliOperator, commutes, multiply
 
-CLIFFORD_GATES = {"h": 1, "s": 1, "x": 1, "z": 1, "cnot": 2, "cz": 2}
 # random bits per draw in StabilizerState.sample_many
 _SAMPLE_BITS = 1 << 16
 
@@ -68,7 +67,7 @@ class CliffordCircuit:
 
     def __post_init__(self):
         for name, qs in self.gates:
-            if name not in CLIFFORD_GATES or len(qs) != CLIFFORD_GATES[name]:
+            if name not in NAMED_ARITY or len(qs) != NAMED_ARITY[name]:
                 raise ValueError(f"bad Clifford gate {(name, qs)!r}")
             if any(not 0 <= q < self.n for q in qs) or len(set(qs)) != len(qs):
                 raise ValueError(f"bad qubit indices in {(name, qs)!r}")
@@ -379,12 +378,7 @@ class StabilizerState:
         if len(generators) != n:
             raise ValueError(f"need exactly n={n} generators, got {len(generators)}")
         if check:
-            for i, g in enumerate(generators):
-                if not g.is_hermitian():
-                    raise NotHermitian(f"generator {i} is not Hermitian")
-                for j in range(i + 1, n):
-                    if not commutes(g, generators[j]):
-                        raise NotCommuting(i, j)
+            _validate_commuting_hermitian(generators)
             if len(gf2.independent_indices([g.r for g in generators])) != n:
                 raise DependentInput("generators are dependent over GF(2)")
         self.n = n
@@ -779,11 +773,11 @@ def random_clifford_circuit(
     n: int, n_gates: int, rng: np.random.Generator
 ) -> CliffordCircuit:
     """Random gate-sequence Clifford; good enough for tests and demos."""
-    pool = [g for g, ar in CLIFFORD_GATES.items() if ar <= n]
+    pool = [g for g, ar in NAMED_ARITY.items() if ar <= n]
     gates = []
     for _ in range(n_gates):
         name = rng.choice(pool)
-        if CLIFFORD_GATES[name] == 1:
+        if NAMED_ARITY[name] == 1:
             gates.append((name, (int(rng.integers(n)),)))
         else:
             q1, q2 = rng.choice(n, size=2, replace=False)

@@ -19,11 +19,13 @@ import time
 import numpy as np
 
 from .circuit import (
+    NAMED_MATRICES,
     Circuit,
     DenseGate,
     Gate,
     NamedGate,
     _restrict_pauli,
+    _two_branch_block,
     check_pairwise_commuting,
     embed_matrix,
     gate_matrix,
@@ -35,9 +37,8 @@ from .oracle import DenseOracleExecutor, GammaKExecutor  # noqa: F401
 from .pauli import PauliOperator
 from .stabilizer import CliffordCircuit, _conj_rows
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _SDG = np.diag([1, -1j]).astype(complex)
-_HSDG = _H @ _SDG  # final ancilla rotation for the imaginary part
+_HSDG = NAMED_MATRICES["h"] @ _SDG  # final ancilla rotation for the imaginary part
 # Re(i^t w) = +-Re w (t even) or -+Im w (t odd)
 _RE_SIGN = (1.0, -1.0, -1.0, 1.0)
 
@@ -48,30 +49,6 @@ MAX_SUBSET_QUBITS = 64
 
 # ---------------------------------------------------------------------------
 # ancilla gadgets
-
-
-def _shift_gate_matrix(g: Gate) -> tuple[tuple[int, ...], np.ndarray]:
-    """Gate support shifted up by one (ancilla becomes qubit index 0)."""
-    sup = tuple(q + 1 for q in g.support)
-    return sup, gate_matrix(g, 2)
-
-
-def _controlled_block(m: np.ndarray) -> np.ndarray:
-    """diag(I, m); the control is the most significant (first) axis."""
-    dim = m.shape[0]
-    out = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    out[:dim, :dim] = np.eye(dim)
-    out[dim:, dim:] = m
-    return out
-
-
-def _two_branch_block(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """diag(m0, m1) on (ancilla, rest); applies m0 when the ancilla is |0>."""
-    dim = m0.shape[0]
-    out = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    out[:dim, :dim] = m0
-    out[dim:, dim:] = m1
-    return out
 
 
 def _ancilla_fold(m: np.ndarray, k_rest: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -90,32 +67,46 @@ def p0_to_value(p0: float) -> float:
     return 2.0 * p0 - 1.0
 
 
+def _check_test(part: str, *circuits: Circuit):
+    """The checks every ancilla test makes first: part, register shape, qubits."""
+    if part not in ("real", "imag"):
+        raise ValueError("part must be 'real' or 'imag'")
+    c = circuits[0]
+    if any((o.n, o.d) != (c.n, c.d) for o in circuits[1:]):
+        raise SizeMismatch("layers disagree on register shape")
+    if c.d != 2:
+        raise ValueError("the ancilla test is defined for qubits")
+
+
+def _folded_test(n: int, blocks: list, part: str) -> Circuit:
+    """Ancilla test on n + 1 qubits with one folded gate per (support, m0, m1) block.
+
+    Each block becomes (A (x) I) diag(m0, m1) (H (x) I) on the ancilla (qubit
+    0) and the support shifted up by one, with A = H, except that for
+    part="imag" the last gate closes with H S^dag.  Blocks whose m0 and m1
+    each pairwise commute give pairwise commuting gates.  No blocks gives the
+    bare test on the ancilla alone: p(0) = 1 (real) encodes <0|I|0> = 1.
+    """
+    h = NAMED_MATRICES["h"]
+    blocks = blocks or [((), np.eye(1), np.eye(1))]
+    out: list[Gate] = []
+    for i, (sup, m0, m1) in enumerate(blocks):
+        left = _HSDG if (part == "imag" and i == len(blocks) - 1) else h
+        w = _ancilla_fold(_two_branch_block(m0, m1), len(sup), left, h)
+        out.append(DenseGate((0, *(q + 1 for q in sup)), w))
+    return Circuit(n + 1, 2, out)
+
+
 def hadamard_test(c: Circuit, part: str = "real") -> Circuit:
     """Fold a commuting circuit into an ancilla test for Re/Im <0|C|0>.
 
-    Each gate becomes (A (x) I) . controlled-G . (H (x) I) on n+1 qubits with
-    A = H, except that for part="imag" the last gate closes with H S^dag.
-    The folded gates still pairwise commute.
+    Each gate G becomes the folded block diag(I, G), i.e. controlled-G
+    between ancilla Hadamards.  The folded gates still pairwise commute.
     """
-    if part not in ("real", "imag"):
-        raise ValueError("part must be 'real' or 'imag'")
-    if c.d != 2:
-        raise ValueError("the ancilla test is defined for qubits")
+    _check_test(part, c)
     check_pairwise_commuting(c)
-    if not c.gates:
-        # bare test on the ancilla alone: p(0) = 1 (real) encodes <0|I|0> = 1
-        gates = [DenseGate((0,), _ancilla_fold(np.eye(2, dtype=complex), 0,
-                                               _HSDG if part == "imag" else _H, _H))]
-        return Circuit(c.n + 1, 2, gates)
-    out = []
-    last = len(c.gates) - 1
-    for i, g in enumerate(c.gates):
-        sup, m = _shift_gate_matrix(g)
-        reg = (0, *sup)
-        cg = _controlled_block(m)
-        left = _HSDG if (part == "imag" and i == last) else _H
-        out.append(DenseGate(reg, _ancilla_fold(cg, len(sup), left, _H)))
-    return Circuit(c.n + 1, 2, out)
+    ms = [(g.support, gate_matrix(g, 2)) for g in c.gates]
+    return _folded_test(c.n, [(sup, np.eye(len(m)), m) for sup, m in ms], part)
 
 
 def alternate_hadamard_test(c: Circuit, part: str = "real") -> Circuit:
@@ -125,10 +116,7 @@ def alternate_hadamard_test(c: Circuit, part: str = "real") -> Circuit:
     adjoints of the second half in reverse, the ancilla-1 branch the first
     half, so the gate count is ceil(size/2) + 2 (odd sizes get an identity).
     """
-    if part not in ("real", "imag"):
-        raise ValueError("part must be 'real' or 'imag'")
-    if c.d != 2:
-        raise ValueError("the ancilla test is defined for qubits")
+    _check_test(part, c)
     gates = list(c.gates)
     if len(gates) % 2:
         gates.append(DenseGate((0,), np.eye(2, dtype=complex)))
@@ -137,12 +125,10 @@ def alternate_hadamard_test(c: Circuit, part: str = "real") -> Circuit:
     for i in range(m):
         ga = gates[i]  # 1-branch, first half in order
         gb = gates[2 * m - 1 - i]  # 0-branch, second half reversed, adjointed
-        sup_a, ma = _shift_gate_matrix(ga)
-        sup_b, mb = _shift_gate_matrix(gb)
-        rest = tuple(sorted(set(sup_a) | set(sup_b)))
-        m0 = embed_matrix(mb, sup_b, rest, 2).conj().T
-        m1 = embed_matrix(ma, sup_a, rest, 2)
-        out.append(DenseGate((0, *rest), _two_branch_block(m0, m1)))
+        rest = tuple(sorted(set(ga.support) | set(gb.support)))
+        m0 = embed_matrix(gate_matrix(gb, 2), gb.support, rest, 2).conj().T
+        m1 = embed_matrix(gate_matrix(ga, 2), ga.support, rest, 2)
+        out.append(DenseGate((0, *(q + 1 for q in rest)), _two_branch_block(m0, m1)))
     out.append(
         NamedGate("h", (0,)) if part == "real" else DenseGate((0,), _HSDG)
     )
@@ -154,41 +140,21 @@ def two_layer_merge(
 ) -> Circuit:
     """Ancilla test for Re/Im <0|C1 C2|0> of two commuting layers.
 
-    Gates are paired by support subset (missing partners become identities);
-    each pair yields one two-branch gate, so the output is (k+1)-local and
-    pairwise commuting whenever each input layer is.
+    Gates are merged by support subset (missing partners become identities);
+    each support yields the folded block diag(M1^dag, M2), so the output is
+    (k+1)-local and pairwise commuting whenever each input layer is.
     """
-    if part not in ("real", "imag"):
-        raise ValueError("part must be 'real' or 'imag'")
-    if c1.n != c2.n or c1.d != c2.d:
-        raise SizeMismatch("layers disagree on register shape")
-    if c1.d != 2:
-        raise ValueError("the ancilla test is defined for qubits")
+    _check_test(part, c1, c2)
     if check:
         check_pairwise_commuting(c1)
         check_pairwise_commuting(c2)
     merged1 = _merge_by_support(c1)
     merged2 = _merge_by_support(c2)
-    subsets = sorted(set(merged1) | set(merged2))
-    if not subsets:
-        left = _HSDG if part == "imag" else _H
-        return Circuit(
-            c1.n + 1,
-            2,
-            [DenseGate((0,), _ancilla_fold(np.eye(2, dtype=complex), 0, left, _H))],
-        )
-    out: list[Gate] = []
-    for i, sup in enumerate(subsets):
-        dim = 1 << len(sup)
-        m1 = merged1.get(sup, np.eye(dim, dtype=complex))
-        m2 = merged2.get(sup, np.eye(dim, dtype=complex))
-        shifted = tuple(q + 1 for q in sup)
-        # 0-branch carries the c1 adjoint, 1-branch the c2 gate; the ancilla
-        # Hadamards fold into each gate so the output stays pairwise commuting
-        w = _two_branch_block(m1.conj().T, m2)
-        left = _HSDG if (part == "imag" and i == len(subsets) - 1) else _H
-        out.append(DenseGate((0, *shifted), _ancilla_fold(w, len(sup), left, _H)))
-    return Circuit(c1.n + 1, 2, out)
+    blocks = []
+    for sup in sorted(set(merged1) | set(merged2)):
+        eye = np.eye(1 << len(sup), dtype=complex)
+        blocks.append((sup, merged1.get(sup, eye).conj().T, merged2.get(sup, eye)))
+    return _folded_test(c1.n, blocks, part)
 
 
 def _merge_by_support(c: Circuit) -> dict[tuple[int, ...], np.ndarray]:

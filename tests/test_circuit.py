@@ -63,6 +63,23 @@ class TestGateMatrices:
         # control qubit 2, target qubit 1 -> same matrix as cnot 2 1
         assert np.allclose(gate_matrix(g, 2), gate_matrix(NamedGate("cnot", (1, 0)), 2))
 
+    def test_controlled_control_on_either_side(self, rng):
+        # control above, below and between a dense inner gate, against the
+        # control-major block diag(I, U) permuted into sorted axis order
+        u = random_unitary(4, rng)
+        for control, inner in ((0, (1, 2)), (2, (0, 1)), (1, (0, 2))):
+            g = ControlledGate(control, DenseGate(inner, u))
+            block = np.kron(np.diag([1, 0]), np.eye(4)) + np.kron(np.diag([0, 1]), u)
+            order = (control, *inner)
+            want = block.reshape((2,) * 6).transpose(
+                [order.index(q) for q in range(3)] + [3 + order.index(q) for q in range(3)]
+            ).reshape(8, 8)
+            assert np.allclose(gate_matrix(g, 2), want)
+
+    def test_controlled_overlapping_control_rejected(self):
+        with pytest.raises(ValueError, match="overlaps"):
+            gate_matrix(ControlledGate(0, NamedGate("cnot", (1, 0))), 2)
+
     def test_dense_unitarity_enforced(self):
         with pytest.raises(ValueError):
             Circuit(1, 2, [DenseGate((0,), np.array([[1, 0], [0, 2.0]]))])

@@ -233,6 +233,20 @@ class TestErrorsAndDeterminism:
         code, out, err = run_cli(capsys, "oracle", cpath, "--obs", f"{opath}@1")
         assert code == 1 and not out and "line 1" in err
 
+    def test_obs_matrix_bad_token_names_its_line(self, qc, capsys):
+        cpath = qc("c.qc", "circuit 2\nexppauli 0.4 ZZ\n")
+        opath = qc("z.txt", "1 0 0 0\n0 0 x 0\n")
+        code, out, err = run_cli(capsys, "oracle", cpath, "--obs", f"{opath}@1")
+        assert code == 1 and not out and "line 2" in err and "'x'" in err
+
+    @pytest.mark.parametrize("template", ["{o}@a", "{o}@1,b", "{o}@", "@"])
+    def test_obs_bad_qubit_list_names_the_spec(self, qc, capsys, template):
+        cpath = qc("c.qc", "circuit 2\nexppauli 0.4 ZZ\n")
+        spec = template.format(o=qc("z.txt", "1 0 0 0\n0 0 -1 0\n"))
+        code, out, err = run_cli(capsys, "oracle", cpath, "--obs", spec)
+        assert code == 1 and not out
+        assert f"observable {spec!r}" in err and "invalid literal" not in err
+
     def test_obs_matrix_shape_mismatch(self, qc, capsys):
         cpath = qc("c.qc", "circuit 2\nh 1\n")
         opath = qc("m.mat", "1 0 0 0 0 0\n0 0 1 0 0 0\n0 0 0 0 1 0\n")

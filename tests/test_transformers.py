@@ -168,6 +168,31 @@ class TestTwoLayerMerge:
             two_layer_merge(Circuit(2, 2, []), Circuit(3, 2, []))
 
 
+class TestInputChecks:
+    """Every ancilla test checks part, then register shape, then d = 2, then commutation."""
+
+    def test_check_order(self):
+        shift = np.roll(np.eye(3), 1, axis=0)
+        clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+        # a qutrit circuit whose gates do not commute fails the d check first
+        q3 = Circuit(1, 3, [DenseGate((0,), shift), DenseGate((0,), clock)])
+        bad = Circuit(1, 2, [NamedGate("x", (0,)), NamedGate("z", (0,))])
+        for fn in (hadamard_test, alternate_hadamard_test):
+            with pytest.raises(ValueError, match="part"):
+                fn(q3, "both")
+            with pytest.raises(ValueError, match="qubits"):
+                fn(q3)
+        with pytest.raises(ValueError, match="part"):
+            two_layer_merge(q3, Circuit(2, 2, []), "both")
+        with pytest.raises(SizeMismatch):
+            two_layer_merge(q3, bad)
+        with pytest.raises(ValueError, match="qubits"):
+            two_layer_merge(q3, q3)
+        with pytest.raises(NotCommuting):
+            two_layer_merge(bad, bad)
+        two_layer_merge(bad, bad, check=False)
+
+
 class TestExecutor:
     def test_outcomes_follow_born_rule(self, rng):
         c = Circuit(2, 2, [NamedGate("h", (0,))])
