@@ -159,6 +159,10 @@ class Circuit:
                 raise ValueError("Pauli width must equal the register size")
             if not g.pauli.is_hermitian():
                 raise NotHermitian("exponentiated Pauli must be Hermitian")
+        if isinstance(g, ControlledGate):
+            if g.control in g.inner.support:
+                raise ValueError("control qubit overlaps inner gate support")
+            self._check_gate(g.inner)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +389,7 @@ def _parse_gate_line(line: str, no: int, n: int, d: int) -> Gate:
         if len(toks) < 3:
             raise ParseError(no, "ctrl expects '<q> <gate-line>'")
         control = _parse_index(toks[1], no, n)
-        inner = _parse_gate_line(" ".join(toks[2:]), no, n, d)
-        if control in inner.support:
-            raise ParseError(no, "control qubit overlaps inner gate support")
-        return ControlledGate(control, inner)
+        return ControlledGate(control, _parse_gate_line(" ".join(toks[2:]), no, n, d))
     raise ParseError(no, f"unknown gate {op!r}")
 
 

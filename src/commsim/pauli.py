@@ -22,7 +22,7 @@ def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliOperator:
     """``i^t * prod_k X_k^{a_k} Z_k^{b_k}`` on ``n`` qubits."""
 

@@ -2,9 +2,10 @@
 
 Clifford circuits are gate lists over {h, s, x, z, cnot, cz}.  One rule,
 ``_conj_rows``, conjugates a list of Paulis through a gate list: it
-bit-slices the rows into per-qubit X/Z columns and two phase bit-planes,
-applies the Aaronson-Gottesman updates column-wise, and transposes back
-once.  :func:`conjugate_pauli` uses it for one Pauli,
+bit-slices the rows that have a bit on a qubit the gates touch into X/Z
+columns of those qubits and two phase bit-planes, applies the
+Aaronson-Gottesman updates column-wise, and transposes back once.
+:func:`conjugate_pauli` uses it for one Pauli,
 :class:`CliffordTableau` for the images of all X_k and Z_k, and
 :func:`diagonalize_commuting_set` and :func:`synthesize_prep` for their whole
 row sets.
@@ -39,6 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -76,10 +79,16 @@ class CliffordCircuit:
         return len(self.gates)
 
     def inverse(self) -> "CliffordCircuit":
-        """The inverse circuit, built and validated once per circuit."""
+        """The inverse circuit, built once per circuit.
+
+        Its gates are this circuit's checked gates reversed, with S runs
+        folded, so they are not checked again.
+        """
         inv = self.__dict__.get("_inverse")
         if inv is None:
-            inv = CliffordCircuit(self.n, _inverse_gates(self.gates))
+            inv = object.__new__(CliffordCircuit)
+            object.__setattr__(inv, "n", self.n)
+            object.__setattr__(inv, "gates", _inverse_gates(self.gates))
             object.__setattr__(self, "_inverse", inv)  # gates are immutable
         return inv
 
@@ -116,26 +125,43 @@ def _bits(v: int) -> list[int]:
     return out
 
 
+def _transpose(vals: list[int], width: int, picks) -> list[int]:
+    """Bit columns of ``vals``: bit i of the column for q is bit q of vals[i].
+
+    Returns the columns for the positions in ``picks``, in that order; every
+    value must be below ``2**width``.  The values are written as one string
+    of fixed-width binary numerals, the last value first, so the numeral of
+    column q is the stride-``width`` slice from character ``width - 1 - q``:
+    a few calls per value and per column, none per bit.
+    """
+    fmt, zero = f"0{width}b", "0" * width
+    s = "".join([format(v, fmt) if v else zero for v in reversed(vals)])
+    return [int(s[width - 1 - q :: width], 2) for q in picks]
+
+
 def _conj_rows(rows: list[PauliOperator], gates) -> list[PauliOperator]:
     """Images ``U P U^dag`` of every row, U the product of ``gates`` in order.
 
-    Bit-sliced Aaronson-Gottesman updates: bit i of xs[q] / zs[q] is the X / Z
-    bit of row i on qubit q, and t0 / t1 are the two bits of each row's phase
-    exponent, so one gate costs a few integer operations however many rows
-    ride along.  Python ints put no limit on the number of qubits or rows.
+    Bit-sliced Aaronson-Gottesman updates: bit j of xs[q] / zs[q] is the X / Z
+    bit of live row j on qubit q, and t0 / t1 are the two bits of each live
+    row's phase exponent, so one gate costs a few integer operations however
+    many rows ride along.  Only the qubits the gates touch are sliced, and
+    only the live rows, those with a bit on one of them: every other bit of
+    a row, and every other row, comes out as it went in.  Python ints put
+    no limit on the number of qubits or rows.
     """
-    if not rows or not gates:  # an empty circuit skips the bit transposes
+    touched = sorted({q for _, qs in gates for q in qs})
+    mask = sum(1 << q for q in touched)
+    live = [i for i, p in enumerate(rows) if (p.a | p.b) & mask]
+    if not live:  # also an empty circuit: no bit transposes
         return list(rows)
     n = rows[0].n
-    xs, zs = [0] * n, [0] * n
+    xs = dict(zip(touched, _transpose([rows[i].a for i in live], n, touched)))
+    zs = dict(zip(touched, _transpose([rows[i].b for i in live], n, touched)))
     t0 = t1 = 0
-    for i, p in enumerate(rows):
-        t0 |= (p.t & 1) << i
-        t1 |= (p.t >> 1) << i
-        for q in _bits(p.a):
-            xs[q] |= 1 << i
-        for q in _bits(p.b):
-            zs[q] |= 1 << i
+    for j, i in enumerate(live):
+        t0 |= (rows[i].t & 1) << j
+        t1 |= (rows[i].t >> 1) << j
     for name, qs in gates:
         q = qs[0]
         if name == "h":  # X <-> Z, and Y -> -Y
@@ -156,16 +182,16 @@ def _conj_rows(rows: list[PauliOperator], gates) -> list[PauliOperator]:
             t1 ^= xs[q] & xs[qs[1]]
             zs[qs[1]] ^= xs[q]
             zs[q] ^= xs[qs[1]]
-    a_out, b_out = [0] * len(rows), [0] * len(rows)
-    for q in range(n):
-        for i in _bits(xs[q]):
-            a_out[i] |= 1 << q
-        for i in _bits(zs[q]):
-            b_out[i] |= 1 << q
-    return [
-        PauliOperator(n, ((t0 >> i) & 1) | (((t1 >> i) & 1) << 1), a, b)
-        for i, (a, b) in enumerate(zip(a_out, b_out))
-    ]
+    # back to rows: the untouched columns are zero and are kept from the input
+    m = len(live)
+    a_new = _transpose([xs.get(q, 0) for q in range(n)], m, range(m))
+    b_new = _transpose([zs.get(q, 0) for q in range(n)], m, range(m))
+    out = list(rows)
+    for j, i in enumerate(live):
+        p = rows[i]
+        t = ((t0 >> j) & 1) | (((t1 >> j) & 1) << 1)
+        out[i] = PauliOperator(n, t, (p.a & ~mask) | a_new[j], (p.b & ~mask) | b_new[j])
+    return out
 
 
 class CliffordTableau:
@@ -229,27 +255,43 @@ def _reduce_block(rows: list[PauliOperator], part: str, eligible: int) -> dict[i
     with a ``part`` bit on its pivot qubit, and eligible rows without a pivot
     end with no ``part`` bits.  Bit i of col[q] is row i's bit on qubit q, so
     each pivot is the lowest unused eligible row in one mask, and clearing a
-    column XORs the cleared rows into the columns of the pivot row's part.
+    column XORs the cleared rows into the later columns of the pivot row's
+    part.  The row operations are :func:`pauli.multiply` on plain (t, a, b)
+    lists, and only the rows they changed are built again at the end.
     """
-    col = [0] * (rows[0].n if rows else 0)
-    for i, g in enumerate(rows):
-        for q in _bits(getattr(g, part)):
-            col[q] |= 1 << i
+    if not rows:
+        return {}
+    n = rows[0].n
+    ts = [g.t for g in rows]
+    xs = [g.a for g in rows]
+    zs = [g.b for g in rows]
+    own = xs if part == "a" else zs
+    # row operations keep every part inside the union of the input parts
+    qs = _bits(reduce(or_, own, 0))
+    col = dict(zip(qs, _transpose(own, n, qs)))
     piv_of: dict[int, int] = {}
-    for q, c in enumerate(col):
+    changed = 0
+    for q in qs:
+        c = col[q]
         free = c & eligible
         if not free:
             continue
-        hit = gf2.lowest_bit(free)
+        low = free & -free
+        hit = low.bit_length() - 1
         piv_of[q] = hit
-        eligible ^= 1 << hit
-        clear = c & ~(1 << hit)
+        eligible ^= low
+        clear = c ^ low
         if clear:
-            pivot = rows[hit]
-            for i in _bits(clear):
-                rows[i] = multiply(rows[i], pivot)
-            for q2 in _bits(getattr(pivot, part)):
-                col[q2] ^= clear
+            changed |= clear
+            tp, ap, bp = ts[hit], xs[hit], zs[hit]
+            for i in _bits(clear):  # row i <- row i * pivot row
+                ts[i] = (ts[i] + tp + 2 * ((zs[i] & ap).bit_count() & 1)) & 3
+                xs[i] ^= ap
+                zs[i] ^= bp
+            for q2 in _bits(own[hit] >> (q + 1)):
+                col[q + 1 + q2] ^= clear
+    for i in _bits(changed):
+        rows[i] = PauliOperator(n, ts[i], xs[i], zs[i])
     return piv_of
 
 
@@ -747,14 +789,21 @@ def diagonalize_commuting_set(
 
     Dependent inputs are filtered before completion, then conjugated
     directly, so their signed Z-type images come out exact.  Commutation is
-    checked once, here, on the whole input.
+    checked once, here: every member for Hermiticity, and the pairs of the
+    independent members.  The symplectic form is bilinear, so those pairs
+    cover every pair.  Only a failed check runs the full pairwise scan,
+    which reports the first failing member or pair in input order.
     """
     if not paulis:
         raise ValueError("need at least one Pauli operator")
     n = paulis[0].n
-    _validate_commuting_hermitian(paulis)
     keep = gf2.independent_indices([p.r for p in paulis])
-    indep = [paulis[i] for i in keep if paulis[i].r != 0]
+    indep = [paulis[i] for i in keep]
+    if not (
+        all(p.n == n and p.is_hermitian() for p in paulis)
+        and all(commutes(p, q) for i, p in enumerate(indep) for q in indep[i + 1 :])
+    ):
+        _validate_commuting_hermitian(paulis)
     if indep:
         state = _complete(indep, n)
     else:

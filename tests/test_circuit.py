@@ -1,6 +1,8 @@
 """Circuit IR: gate matrices, commutation checks, text format."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +81,18 @@ class TestGateMatrices:
     def test_controlled_overlapping_control_rejected(self):
         with pytest.raises(ValueError, match="overlaps"):
             gate_matrix(ControlledGate(0, NamedGate("cnot", (1, 0))), 2)
+
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            ControlledGate(0, NamedGate("cnot", (1, 0))),
+            ControlledGate(2, ControlledGate(0, NamedGate("x", (0,)))),
+        ],
+    )
+    def test_circuit_rejects_overlapping_control(self, gate):
+        # as the parser does, at construction rather than at the first run
+        with pytest.raises(ValueError, match="^control qubit overlaps inner gate support$"):
+            Circuit(3, 2, [gate])
 
     def test_dense_unitarity_enforced(self):
         with pytest.raises(ValueError):
@@ -178,6 +192,29 @@ class TestTextFormat:
     def test_parse_error_lines(self, text, line):
         err = pytest.raises(ParseError, parse_circuit, text).value
         assert err.line_no == line
+
+    @pytest.mark.parametrize("text", ["circuit 2\nctrl 1 cnot 2 1\n", "circuit 3\nctrl 3 ctrl 1 x 1\n"])
+    def test_parse_rejects_overlapping_control(self, text):
+        with pytest.raises(ParseError, match="^line 2: control qubit overlaps inner gate support$"):
+            parse_circuit(text)
+
+    def test_readme_example_parses(self):
+        # a "<k floats>" placeholder becomes the k floats of an identity
+        # matrix when k fits one (zeros otherwise), so the parser checks k
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = [b for b in readme.split("```")[1::2] if b.lstrip("\n").startswith("circuit ")]
+        assert blocks
+
+        def identity_floats(match):
+            k = int(match.group(1))
+            dim = math.isqrt(k // 2)
+            if 2 * dim * dim != k:
+                return " ".join(["0"] * k)
+            return " ".join("1 0" if i % (dim + 1) == 0 else "0 0" for i in range(dim * dim))
+
+        for block in blocks:
+            c = parse_circuit(re.sub(r"<(\d+) floats>", identity_floats, block))
+            assert c.gates
 
     def test_dense_round_trip(self, rng):
         m = random_unitary(4, rng)

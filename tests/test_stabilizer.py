@@ -14,6 +14,7 @@ from commsim.errors import (
     MinusIdentity,
     NotCommuting,
     NotHermitian,
+    SizeMismatch,
 )
 from commsim.oracle import circuit_unitary, run_circuit
 from commsim.pauli import PauliOperator, commutes, multiply, parse_pauli
@@ -158,6 +159,26 @@ class TestConjugation:
         u = circuit_unitary(c.to_circuit())
         ui = circuit_unitary(inv.to_circuit())
         assert np.allclose(ui @ u, np.eye(4), atol=1e-12)
+
+    def test_untouched_qubits_and_rows_vs_dense(self, rng):
+        # gates on a subset of the qubits: rows with no bit there ride along
+        for _ in range(20):
+            n = int(rng.integers(2, 5))
+            on = sorted(int(q) for q in rng.choice(n, int(rng.integers(1, n)), replace=False))
+            c = random_clifford_circuit(len(on), int(rng.integers(1, 8)), rng)
+            c = CliffordCircuit(n, tuple((name, tuple(on[q] for q in qs)) for name, qs in c.gates))
+            u = circuit_unitary(c.to_circuit())
+            rows = [_random_pauli(n, rng) for _ in range(6)]
+            off = sum(1 << q for q in range(n) if q not in on)
+            rows.append(PauliOperator(n, int(rng.integers(4)), off & int(rng.integers(1 << n)), off))
+            for p, img in zip(rows, stabilizer._conj_rows(rows, c.gates)):
+                assert np.allclose(
+                    pauli_statevector_matrix(img),
+                    u @ pauli_statevector_matrix(p) @ u.conj().T,
+                    atol=1e-12,
+                )
+                if not (p.a | p.b) & ~off:
+                    assert img == p
 
     def test_gate_validation(self):
         with pytest.raises(ValueError):
@@ -417,17 +438,23 @@ class TestCompletionAndSynthesis:
                     assert commutes(g, h)
 
     @pytest.mark.parametrize(
-        "n, part, eligible",
+        "n, m, density, part, eligible",
         [
-            # plain ids for the X block over all rows, the call the affine form makes
-            pytest.param(n, part, eligible, id=str(n) if (part, eligible) == ("a", "all")
-                         else f"{n}-{part}-{eligible}")
-            for n in (3, 8, 70)
+            # plain ids for n rows of density 1/2 and the X block over all
+            # rows, the call the affine form makes
+            pytest.param(n, m, density, part, eligible, id=(
+                (str(n) if (part, eligible) == ("a", "all") else f"{n}-{part}-{eligible}")
+                if (m, density) == (n, 0.5)
+                else f"{n}x{m}-{density}-{part}-{eligible}"
+            ))
+            # fewer and more rows than qubits, and rows as sparse as evolve's
+            for n, m, density in [(3, 3, 0.5), (8, 8, 0.5), (70, 70, 0.5),
+                                  (5, 9, 0.5), (33, 20, 0.1), (70, 40, 0.03)]
             for part in "ab"
             for eligible in ("all", "some")
         ],
     )
-    def test_reduce_x_block_matches_row_scan(self, n, part, eligible, rng):
+    def test_reduce_x_block_matches_row_scan(self, n, m, density, part, eligible, rng):
         def row_scan(rows, mask):  # one Python scan of all rows per qubit, as the oracle
             piv_of, used = {}, set()
             for q in range(n):
@@ -448,13 +475,13 @@ class TestCompletionAndSynthesis:
                         rows[i] = multiply(g, rows[hit])
             return piv_of
 
-        def bits():
-            return int("".join(map(str, rng.integers(0, 2, n))), 2)
+        def bits(k):
+            return int("".join("1" if u < density else "0" for u in rng.random(k)), 2)
 
         for _ in range(5):
-            rows = [PauliOperator(n, int(rng.integers(4)), bits(), bits()) for _ in range(n)]
+            rows = [PauliOperator(n, int(rng.integers(4)), bits(n), bits(n)) for _ in range(m)]
             rows[-1] = multiply(rows[0], rows[1])  # a dependent X and Z part
-            mask = (1 << n) - 1 if eligible == "all" else bits()
+            mask = (1 << m) - 1 if eligible == "all" else bits(m)
             got, want = list(rows), list(rows)
             assert list(_reduce_block(got, part, mask).items()) == list(
                 row_scan(want, mask).items()
@@ -467,8 +494,10 @@ class TestCompletionAndSynthesis:
             stabilizer, "commutes", lambda p, q: calls.append(1) or commutes(p, q)
         )
         ps = random_commuting_paulis(12, 20, rng)
+        r = len(gf2.independent_indices([p.r for p in ps]))
         diagonalize_commuting_set(ps)
-        assert len(calls) == 20 * 19 // 2
+        # the pairs of the independent members only: bilinearity covers the rest
+        assert len(calls) == r * (r - 1) // 2
         # the public completion still checks its own input
         with pytest.raises(NotCommuting) as err:
             complete_generators([parse_pauli("XI"), parse_pauli("ZI")])
@@ -525,6 +554,33 @@ class TestCompletionAndSynthesis:
         vec = _state_vector(evolve(0, prep))
         for g in gens:
             assert np.allclose(pauli_statevector_matrix(g) @ vec, vec, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "texts, error, i, j",
+        [
+            # ZZ is dependent (ZI * IZ) and anticommutes with XI, as ZI does
+            (["ZI", "IZ", "ZZ", "XI"], NotCommuting, 0, 3),
+            # -YY is dependent (XX * ZZ up to phase) and anticommutes with XI
+            (["XX", "ZZ", "-YY", "XI"], NotCommuting, 1, 3),
+            # a non-Hermitian member after an anticommuting pair
+            (["XI", "ZI", "IZ", "iZZ"], NotCommuting, 0, 1),
+            (["ZI", "iZZ", "XI"], NotCommuting, 0, 2),
+            (["ZI", "iZZ", "IZ"], NotHermitian, None, None),
+        ],
+    )
+    def test_compile_errors_match_full_scan(self, texts, error, i, j):
+        ps = [parse_pauli(t, 2) for t in texts]
+        with pytest.raises(error) as want:
+            stabilizer._validate_commuting_hermitian(ps)  # every pair, in input order
+        with pytest.raises(error) as got:
+            diagonalize_commuting_set(ps)
+        assert str(got.value) == str(want.value)
+        if error is NotCommuting:
+            assert (got.value.i, got.value.j) == (want.value.i, want.value.j) == (i, j)
+
+    def test_compile_width_mismatch(self):
+        with pytest.raises(SizeMismatch):
+            diagonalize_commuting_set([parse_pauli("ZI"), parse_pauli("Z")])
 
     def test_diagonalize_rejects_bad_inputs(self):
         with pytest.raises(NotCommuting):
