@@ -51,7 +51,6 @@ from .local2 import (
 )
 from .oracle import (
     DenseOracleExecutor,
-    GammaKExecutor,
     Observable,
     StateVector,
     apply_circuit,

@@ -78,21 +78,25 @@ def _check_capacity(n: int, d: int, cap: int):
 def basis_state(n: int, d: int, x, cap: int = DEFAULT_CAP) -> StateVector:
     """|x> for a basis label given as digit string, digit sequence, or int index."""
     _check_capacity(n, d, cap)
-    digits = parse_basis_label(x, n, d)
-    idx = 0
-    for v in digits:
-        idx = idx * d + v
     amps = np.zeros(d**n, dtype=complex)
-    amps[idx] = 1.0
+    amps[_basis_index(x, n, d)] = 1.0
     return StateVector(n, d, amps)
+
+
+def _basis_index(x, n: int, d: int) -> int:
+    """Flat amplitude index of a basis label, qudit 1 most significant."""
+    idx = 0
+    for v in parse_basis_label(x, n, d):
+        idx = idx * d + v
+    return idx
 
 
 def parse_basis_label(x, n: int, d: int) -> list[int]:
     if isinstance(x, str):
         digits = [int(ch) for ch in x.strip()]
-    elif isinstance(x, int):
+    elif isinstance(x, (int, np.integer)):
         digits = []
-        v = x
+        v = int(x)
         for _ in range(n):
             digits.append(v % d)
             v //= d
@@ -202,11 +206,7 @@ def expectation(s: StateVector, o: Observable) -> float:
 def matrix_element(c: Circuit, x, y, cap: int = DEFAULT_CAP) -> complex:
     """<y| U_c |x> via one statevector run."""
     s = run_circuit(c, x, cap=cap)
-    digits = parse_basis_label(y, c.n, c.d)
-    idx = 0
-    for v in digits:
-        idx = idx * c.d + v
-    return complex(s.amplitudes[idx])
+    return complex(s.amplitudes[_basis_index(y, c.n, c.d)])
 
 
 def circuit_unitary(c: Circuit, cap: int = DEFAULT_CAP) -> np.ndarray:
@@ -225,57 +225,25 @@ def circuit_unitary(c: Circuit, cap: int = DEFAULT_CAP) -> np.ndarray:
 # executors
 
 
-class GammaKExecutor:
-    """Measurement device: runs a circuit on |0...0> and measures Z on qudit 0.
+class DenseOracleExecutor:
+    """Measurement device: runs circuits on |0...0> and measures Z on qudit 0.
 
-    A batch of tests comes as a pool circuit that holds each distinct gate
-    once and, per test, a tuple of indices into the pool; the register and
-    each pooled gate are checked once, by the pool.
-    """
+    It returns only outcome counts, never amplitudes, so the overlap
+    estimators see what a quantum device would report.  A batch of tests
+    comes as a pool circuit that holds each distinct gate once and, per
+    test, a tuple of indices into the pool; the register and each pooled
+    gate are checked once, by the pool.
 
-    def run_counts(self, c: Circuit, shots: int, rng: np.random.Generator) -> int:
-        """Number of +1 outcomes among ``shots`` runs of ``c``."""
-        raise NotImplementedError
-
-    def run_counts_many(
-        self,
-        pool: Circuit,
-        tests: list[tuple[int, ...]],
-        shots: list[int],
-        rng: np.random.Generator,
-    ) -> list[int]:
-        """``run_counts`` of each test's pool gates, in input order."""
-        tests = _check_batch(pool, tests, shots)
-        return [
-            self.run_counts(Circuit(pool.n, pool.d, [pool.gates[i] for i in t]), k, rng)
-            for t, k in zip(tests, shots)
-        ]
-
-
-def _check_batch(pool: Circuit, tests, shots) -> list[tuple[int, ...]]:
-    if len(tests) != len(shots):
-        raise BatchMismatch(f"{len(tests)} tests but {len(shots)} shot counts")
-    tests = [tuple(t) for t in tests]
-    m = len(pool.gates)
-    for t in tests:
-        if t and not (min(t) >= 0 and max(t) < m):
-            raise BatchMismatch(f"test {t} names a gate outside the pool of {m}")
-    return tests
-
-
-class DenseOracleExecutor(GammaKExecutor):
-    """Backs the executor interface with the statevector simulator.
-
-    A batch visits its distinct tests in lexicographic order of their index
-    tuples, a depth-first walk of their prefix trie, so each distinct gate
-    prefix is applied once.  A state holds only the qudits its gates have
-    touched, in the kernel's layout; the others are still |0> and leave
-    p(0) alone.  p(0) of a test comes from the state before its last gate,
-    by :func:`_last_weight`, so it does not depend on the other tests in the
-    batch; the state after that gate is built and held only when the next
-    test extends the test.  The executor keeps nothing between calls; within
-    a call, ``cap`` bounds the full register and the total size of the
-    states held for later tests.
+    The statevector simulator runs the tests.  A batch visits its distinct
+    tests in lexicographic order of their index tuples, a depth-first walk
+    of their prefix trie, so each distinct gate prefix is applied once.  A
+    state holds only the qudits its gates have touched, in the kernel's
+    layout; the others are still |0> and leave p(0) alone.  p(0) of a test
+    comes from the state before its last gate, by :func:`_last_weight`, so
+    it does not depend on the other tests in the batch; the state after that
+    gate is built and held only when the next test extends the test.  The
+    executor keeps nothing between calls; within a call, ``cap`` bounds the
+    full register and the total size of the states held for later tests.
     """
 
     def __init__(self, cap: int | None = None):
@@ -310,6 +278,7 @@ class DenseOracleExecutor(GammaKExecutor):
         return p
 
     def run_counts(self, c: Circuit, shots: int, rng: np.random.Generator) -> int:
+        """Number of +1 outcomes among ``shots`` runs of ``c``."""
         return self.run_counts_many(c, [tuple(range(len(c.gates)))], [shots], rng)[0]
 
     def run_counts_many(
@@ -319,7 +288,14 @@ class DenseOracleExecutor(GammaKExecutor):
         shots: list[int],
         rng: np.random.Generator,
     ) -> list[int]:
-        tests = _check_batch(pool, tests, shots)
+        """Number of +1 outcomes of each test's pool gates, in input order."""
+        if len(tests) != len(shots):
+            raise BatchMismatch(f"{len(tests)} tests but {len(shots)} shot counts")
+        tests = [tuple(t) for t in tests]
+        m = len(pool.gates)
+        for t in tests:
+            if t and not (min(t) >= 0 and max(t) < m):
+                raise BatchMismatch(f"test {t} names a gate outside the pool of {m}")
         p = self._p_zero(pool, tests)
         # every p depends on its own gates only, so drawing after the walk
         # and in input order spends the rng as test-by-test runs would

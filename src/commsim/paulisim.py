@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, SizeMismatch, TooManyExtras
+from .errors import DimensionMismatch, NotHermitian, SizeMismatch, TooManyExtras
 from .estimator import (
     Composition,
     DiagonalZExp,
@@ -136,6 +136,8 @@ def simulate_noncommuting_pauli(
     n = program[0].pauli.n if n is None else n
     if any(g.pauli.n != n for g in program):
         raise SizeMismatch("gates act on different registers")
+    if not 0 <= qubit < n:
+        raise DimensionMismatch(f"observable qubit {qubit} outside the {n}-qubit register")
     k = len(extras)
     if k > K_MAX:
         raise TooManyExtras(f"{k} extra gates exceed the cap of {K_MAX}")

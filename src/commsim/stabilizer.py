@@ -75,6 +75,13 @@ class CliffordCircuit:
             if any(not 0 <= q < self.n for q in qs) or len(set(qs)) != len(qs):
                 raise ValueError(f"bad qubit indices in {(name, qs)!r}")
 
+    @classmethod
+    def _unchecked(cls, n: int, gates: tuple) -> "CliffordCircuit":
+        """A circuit whose gates are valid by construction, built without the check."""
+        c = object.__new__(cls)
+        c.__dict__.update(n=n, gates=gates)
+        return c
+
     def __len__(self):
         return len(self.gates)
 
@@ -86,9 +93,7 @@ class CliffordCircuit:
         """
         inv = self.__dict__.get("_inverse")
         if inv is None:
-            inv = object.__new__(CliffordCircuit)
-            object.__setattr__(inv, "n", self.n)
-            object.__setattr__(inv, "gates", _inverse_gates(self.gates))
+            inv = CliffordCircuit._unchecked(self.n, _inverse_gates(self.gates))
             object.__setattr__(self, "_inverse", inv)  # gates are immutable
         return inv
 
@@ -419,10 +424,8 @@ class StabilizerState:
             raise SizeMismatch("generators act on different registers")
         if len(generators) != n:
             raise ValueError(f"need exactly n={n} generators, got {len(generators)}")
-        if check:
-            _validate_commuting_hermitian(generators)
-            if len(gf2.independent_indices([g.r for g in generators])) != n:
-                raise DependentInput("generators are dependent over GF(2)")
+        if check and len(_independent_commuting(generators)) != n:
+            raise DependentInput("generators are dependent over GF(2)")
         self.n = n
         self.generators = list(generators)
         self._affine: _AffineForm | None = None
@@ -537,16 +540,6 @@ class StabilizerState:
         return out
 
     # -- sampling ------------------------------------------------------
-
-    def sample(self, rng: np.random.Generator) -> int:
-        aff = self.affine_form()
-        y = aff.y0
-        if aff.movers:
-            bits = rng.integers(0, 2, size=len(aff.movers))
-            for (g, _), bit in zip(aff.movers, bits):
-                if bit:
-                    y ^= g.a
-        return y
 
     def _tables(self) -> _ByteTables:
         if self.n > 64:
@@ -684,6 +677,24 @@ def _validate_commuting_hermitian(paulis: list[PauliOperator]):
                 raise NotCommuting(i, j)
 
 
+def _independent_commuting(paulis: list[PauliOperator]) -> list[int]:
+    """``gf2.independent_indices`` of a set checked to commute and be Hermitian.
+
+    Checks every member's width and Hermiticity, and only the pairs of the
+    independent members: the symplectic form is bilinear, so those pairs
+    cover every pair.  Only a failed check runs the full pairwise scan,
+    which reports the first failing member or pair in input order.
+    """
+    keep = gf2.independent_indices([p.r for p in paulis])
+    indep = [paulis[i] for i in keep]
+    if not (
+        all(p.n == paulis[0].n and p.is_hermitian() for p in paulis)
+        and all(commutes(p, q) for i, p in enumerate(indep) for q in indep[i + 1 :])
+    ):
+        _validate_commuting_hermitian(paulis)
+    return keep
+
+
 def complete_generators(indep: list[PauliOperator], n: int | None = None) -> StabilizerState:
     """Extend an independent commuting Hermitian set to a full stabilizer state.
 
@@ -693,7 +704,7 @@ def complete_generators(indep: list[PauliOperator], n: int | None = None) -> Sta
         n = indep[0].n
     elif n is None:
         raise ValueError("need n for an empty input set")
-    _validate_commuting_hermitian(indep)
+    keep = _independent_commuting(indep)
     for i, p in enumerate(indep):
         if p.r == 0:
             raise (
@@ -701,8 +712,7 @@ def complete_generators(indep: list[PauliOperator], n: int | None = None) -> Sta
                 if p.t == 2
                 else DependentInput(f"operator {i} is the identity")
             )
-    rows = [p.r for p in indep]
-    if len(gf2.independent_indices(rows)) != len(rows):
+    if len(keep) != len(indep):
         raise DependentInput("input operators are dependent over GF(2)")
     return _complete(indep, n)
 
@@ -779,7 +789,8 @@ def synthesize_prep(s: StabilizerState) -> CliffordCircuit:
         if g.t == 2:
             v |= g.b
     flips = tuple(("x", (k,)) for k in _bits(v))
-    return CliffordCircuit(n, flips + _inverse_gates(cnots + rest))
+    # every gate acts on distinct qubits of the state's register
+    return CliffordCircuit._unchecked(n, flips + _inverse_gates(cnots + rest))
 
 
 def diagonalize_commuting_set(
@@ -789,21 +800,12 @@ def diagonalize_commuting_set(
 
     Dependent inputs are filtered before completion, then conjugated
     directly, so their signed Z-type images come out exact.  Commutation is
-    checked once, here: every member for Hermiticity, and the pairs of the
-    independent members.  The symplectic form is bilinear, so those pairs
-    cover every pair.  Only a failed check runs the full pairwise scan,
-    which reports the first failing member or pair in input order.
+    checked once, on the way to the independent subset.
     """
     if not paulis:
         raise ValueError("need at least one Pauli operator")
     n = paulis[0].n
-    keep = gf2.independent_indices([p.r for p in paulis])
-    indep = [paulis[i] for i in keep]
-    if not (
-        all(p.n == n and p.is_hermitian() for p in paulis)
-        and all(commutes(p, q) for i, p in enumerate(indep) for q in indep[i + 1 :])
-    ):
-        _validate_commuting_hermitian(paulis)
+    indep = [paulis[i] for i in _independent_commuting(paulis)]
     if indep:
         state = _complete(indep, n)
     else:

@@ -7,8 +7,8 @@ the two-layer merge for products of two commuting layers, and on top of
 those, one sampling estimator for |<0|C U|0>|^2 with U of constant depth and
 C a Clifford circuit; the plain |<0|U|0>|^2 estimate is its C = I case.  The
 estimator only ever talks to an executor that returns measurement outcomes,
-never to state amplitudes; the executor interface and the statevector
-executor behind it live in :mod:`commsim.oracle`.
+never to state amplitudes; that executor, :class:`oracle.DenseOracleExecutor`,
+lives beside the statevector simulator that runs it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .circuit import (
 from .errors import CapacityExceeded, LightconeTooLarge, SizeMismatch
 from .estimator import EstimateResult, EstimatorConfig, hoeffding_count
 # bench/workloads.py imports DenseOracleExecutor from here and bench/run.py wraps it here
-from .oracle import DenseOracleExecutor, GammaKExecutor  # noqa: F401
+from .oracle import DenseOracleExecutor
 from .pauli import PauliOperator
 from .stabilizer import CliffordCircuit, _conj_rows
 
@@ -225,7 +225,7 @@ def _require_qubits(u: Circuit):
 def estimate_cd_overlap(
     u: Circuit,
     cfg: EstimatorConfig,
-    executor: GammaKExecutor,
+    executor: DenseOracleExecutor,
     rng: np.random.Generator,
 ) -> EstimateResult:
     """Estimate ``|<0|U|0>|^2`` for a shallow circuit via subset sampling.
@@ -243,7 +243,7 @@ def estimate_cd_clifford_overlap(
     u: Circuit,
     c: CliffordCircuit,
     cfg: EstimatorConfig,
-    executor: GammaKExecutor,
+    executor: DenseOracleExecutor,
     rng: np.random.Generator,
 ) -> EstimateResult:
     """Estimate ``|<0|C U|0>|^2`` for shallow U times an arbitrary Clifford C.
@@ -261,7 +261,7 @@ def _estimate_overlap(
     u: Circuit,
     c: CliffordCircuit,
     cfg: EstimatorConfig,
-    executor: GammaKExecutor,
+    executor: DenseOracleExecutor,
     rng: np.random.Generator,
 ) -> EstimateResult:
     """The one overlap estimator behind both public entry points.

@@ -1,8 +1,9 @@
-"""The benchmark's trace hooks still find every library name they wrap.
+"""The benchmark still finds every library name it wraps or imports.
 
 ``bench/run.py --trace 1`` patches library functions by attribute name, so a
 rename or deletion in the library breaks tracing without failing any other
-test.  This imports the benchmark driver, installs its hooks and removes them.
+test.  This imports the benchmark driver, installs its hooks and removes them,
+and runs each workload's warm-up task against its reference.
 """
 
 import importlib.util
@@ -87,3 +88,17 @@ def test_extras_simulator_reads_nonzero_counters(bench):
     assert tr.calls("estimator.phase") > 0
     assert tr.counts["estimator.samples"] == res.k == 500
     assert tr.counts["stabilizer.evolve_calls"] == 1
+
+
+def test_warmup_tasks_meet_their_references(bench):
+    # the workloads use library names of their own (re-exports, constructor
+    # arguments), which only running them checks
+    import workloads
+
+    for name, cls in workloads.WORKLOADS.items():
+        wl = cls()
+        inst = wl.make(np.random.default_rng([9, 2]), warmup=True)
+        out = wl.run(inst, np.random.default_rng([9, 3]))
+        ref = wl.reference(inst)
+        assert len(out) == len(ref), name
+        assert all(abs(o - w) <= wl.tol for o, w in zip(out, ref)), (name, out, ref)

@@ -20,6 +20,7 @@ from commsim.circuit import (
     gate_matrix,
 )
 from commsim.errors import CapacityExceeded, DimensionMismatch
+from commsim.local2 import ProductState
 from commsim.oracle import (
     Observable,
     StateVector,
@@ -51,6 +52,18 @@ class TestStates:
         assert np.array_equal(
             basis_state(3, 2, "101").amplitudes, basis_state(3, 2, 5).amplitudes
         )
+
+    @pytest.mark.parametrize("d, k", [(2, 5), (3, 14)])
+    def test_numpy_int_labels(self, rng, d, k):
+        c = random_shallow_circuit(3, 2, rng) if d == 2 else Circuit(3, 3, [])
+        for x in (np.int64(k), np.uint8(k)):
+            assert np.array_equal(basis_state(3, d, x).amplitudes, basis_state(3, d, k).amplitudes)
+            assert np.array_equal(run_circuit(c, x).amplitudes, run_circuit(c, k).amplitudes)
+            assert matrix_element(c, x, x) == matrix_element(c, k, k)
+            got, want = ProductState.from_basis(3, d, x), ProductState.from_basis(3, d, k)
+            assert np.array_equal(got.factors, want.factors)
+        with pytest.raises(ValueError, match="out of range"):
+            parse_basis_label(np.int64(d**3), 3, d)
 
     def test_label_validation(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from conftest import pauli_statevector_matrix, random_commuting_paulis
 
 from commsim import paulisim
 from commsim.circuit import Circuit, PauliExpGate
-from commsim.errors import NotCommuting, NotHermitian, TooManyExtras
+from commsim.errors import DimensionMismatch, NotCommuting, NotHermitian, TooManyExtras
 from commsim.estimator import EstimatorConfig
 from commsim.oracle import Observable, circuit_unitary, expectation, run_circuit
 from commsim.paulisim import (
@@ -228,6 +228,18 @@ class TestNonCommutingSimulation:
         ]
         with pytest.raises(TooManyExtras, match="11 extra gates exceed the cap of 10"):
             simulate_noncommuting_pauli(program, 0, 0, EstimatorConfig(k_override=5), rng)
+
+    @pytest.mark.parametrize("qubit", [-1, 2])
+    def test_observable_qubit_outside_register(self, rng, qubit):
+        # the members anticommute, so a check after compiling would raise NotCommuting
+        gates = [(0.3, parse_pauli("ZZ")), (0.2, parse_pauli("XI"))]
+        cfg = EstimatorConfig(k_override=5)
+        want = f"observable qubit {qubit} outside the 2-qubit register"
+        with pytest.raises(DimensionMismatch, match=want):
+            simulate_commuting_pauli(gates, 0, qubit, cfg, rng)
+        program = [MemberGate(*g) for g in gates] + [ExtraGate(0.1, parse_pauli("YI"))]
+        with pytest.raises(DimensionMismatch, match=want):
+            simulate_noncommuting_pauli(program, 0, qubit, cfg, rng)
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):

@@ -311,13 +311,6 @@ class TestEvolve:
             for h in zcons:
                 assert h.a == 0 and (h.b & aff.y_particular).bit_count() % 2 == h.t // 2
 
-    def test_sampling_in_support(self, rng):
-        c = random_clifford_circuit(4, 15, rng)
-        s = evolve(0, c)
-        for _ in range(30):
-            y = s.sample(rng)
-            assert abs(s.amplitude_raw(y)) > 0
-
     def test_vectorized_matches_scalar(self, rng):
         # widths on both sides of each byte boundary, support dimensions s
         # from 0 to n, anchors other than the least support element
@@ -511,6 +504,7 @@ class TestCompletionAndSynthesis:
             gens = [tab.conjugate(PauliOperator.single(n, "Z", k)) for k in range(n)]
             state = StabilizerState(gens)
             prep = synthesize_prep(state)
+            assert CliffordCircuit(prep.n, prep.gates) == prep  # built unchecked
             vec = _state_vector(evolve(0, prep))
             for g in gens:
                 assert np.allclose(pauli_statevector_matrix(g) @ vec, vec, atol=1e-10)
@@ -520,6 +514,7 @@ class TestCompletionAndSynthesis:
             n = int(rng.integers(2, 6))
             ps = random_commuting_paulis(n, int(rng.integers(1, 2 * n)), rng)
             c, qs = diagonalize_commuting_set(ps)
+            assert CliffordCircuit(c.n, c.gates) == c  # built unchecked
             u = circuit_unitary(c.to_circuit())
             for p, q in zip(ps, qs):
                 assert q.is_z_type()
@@ -569,14 +564,35 @@ class TestCompletionAndSynthesis:
         ],
     )
     def test_compile_errors_match_full_scan(self, texts, error, i, j):
-        ps = [parse_pauli(t, 2) for t in texts]
-        with pytest.raises(error) as want:
-            stabilizer._validate_commuting_hermitian(ps)  # every pair, in input order
-        with pytest.raises(error) as got:
-            diagonalize_commuting_set(ps)
-        assert str(got.value) == str(want.value)
-        if error is NotCommuting:
-            assert (got.value.i, got.value.j) == (want.value.i, want.value.j) == (i, j)
+        # padded with one qubit per member, the same defects in a generator list
+        padded = [t + "I" * (len(texts) - 2) for t in texts]
+        for ps in ([parse_pauli(t, 2) for t in texts], [parse_pauli(t) for t in padded]):
+            with pytest.raises(error) as want:
+                stabilizer._validate_commuting_hermitian(ps)  # every pair, in input order
+            checks = [diagonalize_commuting_set, complete_generators]
+            if len(ps) == ps[0].n:
+                checks.append(StabilizerState)
+            for check in checks:
+                with pytest.raises(error) as got:
+                    check(ps)
+                assert str(got.value) == str(want.value)
+                if error is NotCommuting:
+                    assert (got.value.i, got.value.j) == (want.value.i, want.value.j) == (i, j)
+
+    def test_generator_checks_scan_independent_pairs_once(self, rng, monkeypatch):
+        gens = list(evolve(int(rng.integers(64)), random_clifford_circuit(6, 24, rng)).generators)
+        gens[-1] = multiply(gens[0], gens[1])  # commuting, Hermitian and dependent
+        pairs, scans = [], []
+        scan = gf2.independent_indices
+        monkeypatch.setattr(stabilizer, "commutes", lambda p, q: pairs.append(1) or commutes(p, q))
+        monkeypatch.setattr(gf2, "independent_indices", lambda rows: scans.append(1) or scan(rows))
+        for check in (complete_generators, StabilizerState):
+            pairs.clear()
+            scans.clear()
+            with pytest.raises(DependentInput):
+                check(gens)
+            assert len(scans) == 1
+            assert len(pairs) == 5 * 4 // 2  # the pairs of the five independent members
 
     def test_compile_width_mismatch(self):
         with pytest.raises(SizeMismatch):

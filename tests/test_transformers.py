@@ -31,7 +31,7 @@ from commsim.errors import (
     SizeMismatch,
 )
 from commsim.estimator import EstimatorConfig
-from commsim.oracle import DenseOracleExecutor, GammaKExecutor, matrix_element, run_circuit
+from commsim.oracle import DenseOracleExecutor, matrix_element, run_circuit
 from commsim.pauli import PauliOperator
 from commsim.stabilizer import CliffordCircuit, conjugate_pauli, random_clifford_circuit
 from commsim.transformers import (
@@ -272,13 +272,6 @@ def _batches(draw):
     return Circuit(n, d, gates), draw(st.permutations(tests))
 
 
-class _LoopExecutor(GammaKExecutor):
-    """Keeps the base class's batch fallback, one dense run per test."""
-
-    def run_counts(self, c, shots, rng):
-        return DenseOracleExecutor().run_counts(c, shots, rng)
-
-
 class TestBatchExecutor:
     @settings(max_examples=60, deadline=None)
     @given(_batches(), st.data())
@@ -300,10 +293,9 @@ class TestBatchExecutor:
             for t, k in zip(tests, shots)
         ]
         assert got == one_by_one
-        loop = _LoopExecutor().run_counts_many(pool, tests, shots, np.random.default_rng(seed))
-        assert loop == got
 
-    @pytest.mark.parametrize("ex", [DenseOracleExecutor(), _LoopExecutor()])
+    # a batch error comes first, even when the pool exceeds the executor's cap
+    @pytest.mark.parametrize("ex", [DenseOracleExecutor(), DenseOracleExecutor(cap=2)])
     @pytest.mark.parametrize("tests,shots", [
         ([(0, 2)], [5]),  # index past the pool
         ([(0, -1)], [5]),  # negative index
