@@ -15,6 +15,7 @@ digit and its outcome 0 is the leading size/d amplitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -92,9 +93,8 @@ def _basis_index(x, n: int, d: int) -> int:
 
 
 def parse_basis_label(x, n: int, d: int) -> list[int]:
-    if isinstance(x, str):
-        digits = [int(ch) for ch in x.strip()]
-    elif isinstance(x, (int, np.integer)):
+    """Digits of a label, qudit 1 first: an int index, a digit string or sequence."""
+    if isinstance(x, (int, np.integer)):
         digits = []
         v = int(x)
         for _ in range(n):
@@ -104,7 +104,10 @@ def parse_basis_label(x, n: int, d: int) -> list[int]:
         if v:
             raise ValueError(f"basis index {x} out of range")
     else:
-        digits = [int(v) for v in x]
+        try:  # a sequence holds integers: 1.5 is no digit
+            digits = [int(ch) for ch in x.strip()] if isinstance(x, str) else list(map(index, x))
+        except (TypeError, ValueError):
+            raise ValueError(f"basis label {x!r} is not a digit string or sequence") from None
     if len(digits) != n:
         raise ValueError(f"basis label needs {n} digits, got {len(digits)}")
     if any(not 0 <= v < d for v in digits):

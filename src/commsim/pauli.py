@@ -81,17 +81,18 @@ class PauliOperator:
     # -- dense export (test support, n small) -------------------------
 
     def to_matrix(self) -> np.ndarray:
-        X = np.array([[0, 1], [1, 0]], dtype=complex)
-        Z = np.array([[1, 0], [0, -1]], dtype=complex)
-        # qubit 0 is the leftmost (most significant) tensor factor
-        out = np.array([[_I4[self.t]]], dtype=complex)
-        for k in range(self.n):
-            f = np.eye(2, dtype=complex)
-            if (self.a >> k) & 1:
-                f = f @ X
-            if (self.b >> k) & 1:
-                f = f @ Z
-            out = np.kron(out, f)
+        """Dense matrix; qubit 0 is the leftmost (most significant) tensor factor.
+
+        Qubit k is bit n - 1 - k of an index, so with a and b read in that
+        order column y holds ``i^(t + 2 parity(b & y))`` in row ``y ^ a``.
+        """
+        def index_bits(v: int) -> int:
+            return int(format(v, f"0{self.n}b")[::-1], 2)
+
+        ys = np.arange(1 << self.n)
+        k = (self.t + 2 * (np.bitwise_count(ys & index_bits(self.b)) & 1)) & 3
+        out = np.zeros((len(ys), len(ys)), dtype=complex)
+        out[ys ^ index_bits(self.a), ys] = np.array(_I4).take(k)
         return out
 
     def __str__(self) -> str:

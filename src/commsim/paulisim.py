@@ -28,7 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, SizeMismatch, TooManyExtras
+from .errors import (
+    CapacityExceeded,
+    DimensionMismatch,
+    NotHermitian,
+    SizeMismatch,
+    TooManyExtras,
+)
 from .estimator import (
     Composition,
     DiagonalZExp,
@@ -48,6 +54,8 @@ from .stabilizer import (
 )
 
 K_MAX = 10
+# the sampler and amplitude kernel hold a basis label in one uint64
+MAX_QUBITS = 64
 
 
 @dataclass(frozen=True)
@@ -127,6 +135,7 @@ def simulate_noncommuting_pauli(
     shares add up to one mean.  K = ceil(4 W^4 ln(2/delta) / epsilon^2) with
     W = prod_j (|cos theta_j| + |sin theta_j|) over the k extras, or
     ``cfg.k_override`` when set; ``EstimateResult.k`` reports that total.
+    Registers wider than 64 qubits raise CapacityExceeded before any work.
     """
     t0 = time.perf_counter()
     if not program and n is None:
@@ -134,6 +143,10 @@ def simulate_noncommuting_pauli(
     members = [g for g in program if isinstance(g, MemberGate)]
     extras = [g for g in program if isinstance(g, ExtraGate)]
     n = program[0].pauli.n if n is None else n
+    if n > MAX_QUBITS:
+        raise CapacityExceeded(
+            f"the Pauli simulators support at most {MAX_QUBITS} qubits, got {n}"
+        )
     if any(g.pauli.n != n for g in program):
         raise SizeMismatch("gates act on different registers")
     if not 0 <= qubit < n:

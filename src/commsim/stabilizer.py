@@ -20,12 +20,13 @@ once per form: a sample XORs one table entry per byte of its random mover
 coordinates into y0, and an amplitude gathers the mover coordinates x of
 ``y ^ anchor`` byte by byte, checks membership as ``span(x) == y ^ anchor``
 and reads the phase as a linear plus quadratic form in x (the affine form
-of Dehaene and De Moor, quant-ph/0304125).  :func:`evolve` moves the
-anchor through monomial gates and conjugates the generators only at each
-``h``, where one affine form gives both the new anchor and the new state's
-form.  :meth:`StabilizerState.apply_pauli` needs no elimination: a Pauli
-image keeps the affine form and byte tables up to signs and a shifted
-support.
+of Dehaene and De Moor, quant-ph/0304125).  A state asked for at least
+2^n amplitudes at once runs that kernel on every basis state and keeps the
+dense table.  :func:`evolve` moves the anchor through monomial gates and
+conjugates the generators only at each ``h``, where one affine form gives
+both the new anchor and the new state's form.
+:meth:`StabilizerState.apply_pauli` needs no elimination: a Pauli image
+keeps the affine form and byte tables up to signs and a shifted support.
 
 One column-mask elimination, ``_reduce_block``, reduces Pauli rows over
 their X or their Z parts.  The affine form runs it on the X block, which
@@ -429,6 +430,8 @@ class StabilizerState:
         self.n = n
         self.generators = list(generators)
         self._affine: _AffineForm | None = None
+        # ((anchor_y, anchor_amp), amplitudes of all 2^n labels), see amplitudes_raw_many
+        self._dense: tuple[tuple[int, complex], np.ndarray] | None = None
         if anchor_y is None:
             aff = self.affine_form()
             self.anchor_y = aff.y0
@@ -564,10 +567,29 @@ class StabilizerState:
         return ys
 
     def amplitudes_raw_many(self, ys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`amplitude_raw` for a 1-D uint64 array (n <= 64)."""
+        """Vectorized :meth:`amplitude_raw` for a 1-D uint64 array (n <= 64).
+
+        Labels must be below 2^n.  Small registers are tabulated: when
+        2^n <= len(ys), or the state already keeps a table, the byte-table
+        kernel runs once on all 2^n basis states and each call is one
+        ``take`` from the result.  The table is kept per state and keyed on
+        (anchor_y, anchor_amp), so a reassigned anchor rebuilds it.  Other
+        calls run the kernel on ys.
+        """
+        ys = np.asarray(ys, dtype=np.uint64)
+        key = (self.anchor_y, self.anchor_amp)
+        if self._dense is not None or 1 << self.n <= len(ys):
+            if self._dense is None or self._dense[0] != key:
+                every = np.arange(1 << self.n, dtype=np.uint64)
+                self._dense = (key, self._amplitudes_kernel(every))
+            return self._dense[1].take(ys)
+        return self._amplitudes_kernel(ys)
+
+    def _amplitudes_kernel(self, ys: np.ndarray) -> np.ndarray:
+        """The byte-table amplitudes of the labels ys, read through :class:`_ByteTables`."""
         tab = self._tables()
         anchor = self.anchor_y
-        v = np.asarray(ys, dtype=np.uint64) ^ np.uint64(anchor)
+        v = ys ^ np.uint64(anchor)
         if not self.in_support(anchor):  # no support element is reached from it
             return np.zeros(v.shape, dtype=complex)
         x = _xor_lookup(tab.gather, _word_bytes(v))

@@ -87,6 +87,9 @@ def test_extras_simulator_reads_nonzero_counters(bench):
         tr.restore()
     assert tr.calls("estimator.phase") > 0
     assert tr.counts["estimator.samples"] == res.k == 500
+    # one read of each pair's samples and one of their images: building an
+    # amplitude table does not call the traced method again
+    assert tr.counts["stabilizer.amplitude_evals"] == 2 * res.k
     assert tr.counts["stabilizer.evolve_calls"] == 1
 
 

@@ -317,6 +317,14 @@ class TestErrorsAndDeterminism:
         )
         assert code == 1 and not out and "error:" in err
 
+    @pytest.mark.parametrize("extras", [[], ["--extras"]])
+    def test_paulisim_rejects_wide_register(self, qc, capsys, extras):
+        path = qc("c.qc", "circuit 65\nexppauli 0.4 " + "ZZ" + "I" * 63 + "\n")
+        if extras:
+            extras.append(qc("e.txt", "1 0.2 X" + "I" * 64 + "\n"))
+        code, out, err = run_cli(capsys, "paulisim", path, "--qubit", "1", "--seed", "1", *extras)
+        assert code == 1 and not out and "at most 64 qubits" in err
+
     def test_paulisim_rejects_bad_input_digit(self, qc, capsys):
         path = qc("c.qc", "circuit 3\nexppauli 0.4 ZZI\n")
         code, out, err = run_cli(

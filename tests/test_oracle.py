@@ -35,6 +35,8 @@ from commsim.oracle import (
     product_state,
     run_circuit,
 )
+from commsim.pauli import parse_pauli
+from commsim.stabilizer import CliffordCircuit, StabilizerState, evolve
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -72,6 +74,16 @@ class TestStates:
             parse_basis_label("021", 3, 2)
         with pytest.raises(ValueError):
             parse_basis_label(8, 3, 2)
+        # labels that are no digit string or sequence name themselves
+        for bad in (1.0, None, "0a1", [0, 1.5, 1]):
+            with pytest.raises(ValueError, match="basis label"):
+                parse_basis_label(bad, 3, 2)
+        with pytest.raises(ValueError, match="basis label 1.0 "):
+            basis_state(3, 2, 1.0)
+        with pytest.raises(ValueError, match="basis label '0a1'"):
+            evolve("0a1", CliffordCircuit(3))
+        with pytest.raises(ValueError, match="basis label None"):
+            StabilizerState([parse_pauli(z) for z in ("ZII", "IZI", "IIZ")]).amplitude(None)
 
     def test_product_state_is_kron(self, rng):
         f = [random_state_vector(2, rng) for _ in range(3)]

@@ -1,5 +1,7 @@
 """Exact Pauli algebra against dense matrices and parser round trips."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,23 @@ class TestAlgebra:
             return
         r = multiply(p, q)
         assert np.allclose(r.to_matrix(), p.to_matrix() @ q.to_matrix(), atol=1e-12)
+
+    def test_to_matrix_is_the_kron_product(self):
+        # every Pauli on up to 3 qubits: i^t times X^a_k Z^b_k per qubit,
+        # qubit 0 the leftmost tensor factor
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        z = np.array([[1, 0], [0, -1]], dtype=complex)
+        for n in (1, 2, 3):
+            for t, a, b in itertools.product(range(4), range(1 << n), range(1 << n)):
+                want = np.array([[_I4[t]]], dtype=complex)
+                for k in range(n):
+                    f = np.eye(2, dtype=complex)
+                    if (a >> k) & 1:
+                        f = f @ x
+                    if (b >> k) & 1:
+                        f = f @ z
+                    want = np.kron(want, f)
+                assert np.array_equal(PauliOperator(n, t, a, b).to_matrix(), want)
 
     @given(paulis(), paulis(), paulis())
     @settings(max_examples=100, deadline=None)

@@ -9,7 +9,13 @@ from conftest import pauli_statevector_matrix, random_commuting_paulis
 
 from commsim import paulisim
 from commsim.circuit import Circuit, PauliExpGate
-from commsim.errors import DimensionMismatch, NotCommuting, NotHermitian, TooManyExtras
+from commsim.errors import (
+    CapacityExceeded,
+    DimensionMismatch,
+    NotCommuting,
+    NotHermitian,
+    TooManyExtras,
+)
 from commsim.estimator import EstimatorConfig
 from commsim.oracle import Observable, circuit_unitary, expectation, run_circuit
 from commsim.paulisim import (
@@ -240,6 +246,19 @@ class TestNonCommutingSimulation:
         program = [MemberGate(*g) for g in gates] + [ExtraGate(0.1, parse_pauli("YI"))]
         with pytest.raises(DimensionMismatch, match=want):
             simulate_noncommuting_pauli(program, 0, qubit, cfg, rng)
+
+    def test_wide_register_refused_before_compiling(self, rng, monkeypatch):
+        compiled = []
+        monkeypatch.setattr(paulisim, "compile_commuting_pauli", lambda *a: compiled.append(a))
+        zz = PauliOperator(65, 0, 0, 0b11)
+        cfg = EstimatorConfig(k_override=5)
+        with pytest.raises(CapacityExceeded, match="at most 64 qubits, got 65"):
+            simulate_commuting_pauli([(0.3, zz)], 0, 0, cfg, rng)
+        with pytest.raises(CapacityExceeded, match="at most 64 qubits, got 65"):
+            simulate_noncommuting_pauli(
+                [MemberGate(0.3, zz), ExtraGate(0.2, PauliOperator(65, 0, 1, 0))], 0, 0, cfg, rng
+            )
+        assert not compiled
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):

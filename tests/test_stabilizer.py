@@ -368,6 +368,36 @@ class TestEvolve:
         assert st.amplitudes_raw_many(ys).tolist() == [st.amplitude_raw(y) for y in range(4)]
         assert not st.amplitudes_raw_many(ys).any()
 
+    def test_dense_table_matches_scalar(self, rng):
+        # on 4 qubits a batch of 10 runs the kernel, one of 40 builds the
+        # table of all 16 amplitudes, and every later batch reads it; a
+        # reassigned anchor, on or off the support, rebuilds it
+        for _ in range(20):
+            st = evolve(int(rng.integers(16)), random_clifford_circuit(4, 24, rng))
+            short = rng.integers(0, 16, size=10, dtype=np.uint64)
+            long = rng.integers(0, 16, size=40, dtype=np.uint64)
+
+            def check(*batches):
+                for batch in batches:
+                    want = [st.amplitude_raw(y) for y in batch.tolist()]
+                    assert st.amplitudes_raw_many(batch).tolist() == want
+
+            check(short)
+            assert st._dense is None
+            check(long, short)
+            assert st._dense is not None
+            support = [y for y in range(16) if st.amplitude_raw(y)]
+            y = support[int(rng.integers(len(support)))]
+            st.anchor_y, st.anchor_amp = y, 1j * st.amplitude_raw(y)
+            check(short, long)
+            st.anchor_amp = -0.5 * st.anchor_amp
+            check(short, long)
+            off = [y for y in range(16) if not st.in_support(y)]
+            if off:
+                st.anchor_y = off[0]
+                check(short, long)
+                assert not st.amplitudes_raw_many(long).any()
+
     @pytest.mark.parametrize("n", [8, 17, 64])
     def test_sample_many_pinned_to_per_mover_loop(self, n, rng):
         for s in sorted({0, 1, 8, 9, n} & set(range(n + 1))):
