@@ -411,6 +411,8 @@ def dispatch(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "max_amplitudes", None) is not None and args.max_amplitudes < 1:
         parser.error("--max-amplitudes must be a positive integer")
+    if getattr(args, "workers", 1) < 1:
+        parser.error("--workers must be a positive integer")
     if hasattr(args, "epsilon"):
         try:
             args.cfg = EstimatorConfig(epsilon=args.epsilon, delta=args.delta)

@@ -16,12 +16,21 @@ j whose Z mask b_j has odd parity on y: a Pauli's X shift only flips the sign
 of the factors after it, so every parity is read at the input y.  The phase
 of a sample batch is then read through byte tables (one gather from the bytes
 of y to the parity word, one complex product per byte of that word), with no
-per-factor pass over the samples and no ``exp``.
+per-factor pass over the samples and no ``exp``.  A gather table depends
+only on n and the Z masks, which the branch pairs of one estimate share, so
+the last few are kept.
+
+Small registers are tabulated: when 2^n <= k, X is evaluated once on all
+2^n basis states, by the same kernels in the same order, and each of the k
+samples is one ``take`` from that table, so every sample equals its
+per-sample value bit for bit.  The amplitudes are then read from each
+state's own dense table (:meth:`StabilizerState.amplitudes_raw_many`).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -114,13 +123,8 @@ class MonomialOperator:
         c, masks, ws = self.phase_form()
         yb = _word_bytes(ys)
         out = np.full(len(ys), c, dtype=complex)
-        qubits = np.arange(self.n, dtype=np.uint64)
         for lo in range(0, len(masks), 64):
-            b = np.array(masks[lo : lo + 64], dtype=np.uint64)
-            bits = (b[:, None] >> qubits) & np.uint64(1)
-            # bit j of cols[q] is factor j's Z bit on qubit q
-            cols = np.bitwise_or.reduce(bits << np.arange(len(b), dtype=np.uint64)[:, None])
-            par = _word_bytes(_xor_lookup(_byte_table(cols), yb))
+            par = _word_bytes(_xor_lookup(_gather_table(self.n, tuple(masks[lo : lo + 64])), yb))
             for u, row in enumerate(_byte_table(ws[lo : lo + 64], np.multiply)):
                 out *= row.take(par[:, u])
         return out
@@ -134,6 +138,22 @@ class MonomialOperator:
         m = np.zeros((len(ys), len(ys)), dtype=complex)
         m[self.permute_many(ys).astype(np.int64), np.arange(len(ys))] = self.eval_phase_many(ys)
         return m
+
+
+@functools.lru_cache(maxsize=8)
+def _gather_table(n: int, masks: tuple[int, ...]) -> np.ndarray:
+    """Read-only byte table from the bytes of y to bit j = parity(masks[j] & y).
+
+    The branch pairs of one estimate share a few Z-mask sets and differ in
+    their angles, so each set's table is built once and kept.
+    """
+    b = np.array(masks, dtype=np.uint64)
+    bits = (b[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+    # bit j of cols[q] is factor j's Z bit on qubit q
+    cols = np.bitwise_or.reduce(bits << np.arange(len(b), dtype=np.uint64)[:, None])
+    tab = _byte_table(cols)
+    tab.flags.writeable = False
+    return tab
 
 
 class PauliMonomial(MonomialOperator):
@@ -243,9 +263,16 @@ def _draw_samples(
     rng: np.random.Generator,
 ) -> np.ndarray:
     ys = phi.sample_many(k, rng)
-    denom = np.conj(phi.amplitudes_raw_many(ys))
-    if np.any(denom == 0):
+    # with no more basis states than samples, X is tabulated on every label
+    # and each sample read from the table; entries off phi's support divide
+    # by zero, and no sample reads them
+    tabulated = 1 << phi.n <= k
+    labels = np.arange(1 << phi.n, dtype=np.uint64) if tabulated else ys
+    denom = np.conj(phi.amplitudes_raw_many(labels))
+    if np.any((denom.take(ys) if tabulated else denom) == 0):
         raise ZeroAmplitudeSample("sampled a basis state outside the support")
-    lam = m.eval_phase_many(ys)
-    num = np.conj(psi.amplitudes_raw_many(m.permute_many(ys)))
-    return lam * num / denom
+    lam = m.eval_phase_many(labels)
+    num = np.conj(psi.amplitudes_raw_many(m.permute_many(labels)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = lam * num / denom
+    return xs.take(ys) if tabulated else xs

@@ -569,12 +569,13 @@ class StabilizerState:
     def amplitudes_raw_many(self, ys: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`amplitude_raw` for a 1-D uint64 array (n <= 64).
 
-        Labels must be below 2^n.  Small registers are tabulated: when
-        2^n <= len(ys), or the state already keeps a table, the byte-table
-        kernel runs once on all 2^n basis states and each call is one
-        ``take`` from the result.  The table is kept per state and keyed on
-        (anchor_y, anchor_amp), so a reassigned anchor rebuilds it.  Other
-        calls run the kernel on ys.
+        Small registers are tabulated: when 2^n <= len(ys), or the state
+        already keeps a table, the byte-table kernel runs once on all 2^n
+        basis states and each call is one ``take`` from the result.  The
+        table is kept per state and keyed on (anchor_y, anchor_amp), so a
+        reassigned anchor rebuilds it.  Other calls, and batches with a
+        label of 2^n or more (amplitude 0, as the kernel gives it), run the
+        kernel on ys.
         """
         ys = np.asarray(ys, dtype=np.uint64)
         key = (self.anchor_y, self.anchor_amp)
@@ -582,7 +583,8 @@ class StabilizerState:
             if self._dense is None or self._dense[0] != key:
                 every = np.arange(1 << self.n, dtype=np.uint64)
                 self._dense = (key, self._amplitudes_kernel(every))
-            return self._dense[1].take(ys)
+            if ys.max(initial=0) < 1 << self.n:
+                return self._dense[1].take(ys)
         return self._amplitudes_kernel(ys)
 
     def _amplitudes_kernel(self, ys: np.ndarray) -> np.ndarray:

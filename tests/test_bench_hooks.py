@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from commsim import transformers
+from commsim import estimator, paulisim, transformers
 from commsim.circuit import Circuit, NamedGate
 from commsim.estimator import EstimatorConfig
 from commsim.pauli import parse_pauli
@@ -70,7 +70,7 @@ def test_overlap_estimators_open_one_span_each(bench):
     assert tr.counts["transformers.subset_draws"] == 8
 
 
-def test_extras_simulator_reads_nonzero_counters(bench):
+def test_extras_simulator_reads_nonzero_counters(bench, monkeypatch):
     run, spans = bench
     program = [
         MemberGate(0.7, parse_pauli("ZZI")),
@@ -78,19 +78,34 @@ def test_extras_simulator_reads_nonzero_counters(bench):
         MemberGate(1.1, parse_pauli("XXI")),
         ExtraGate(-1.2, parse_pauli("YYI")),
     ]
-    tr = spans.Tracer()
-    run.instrument(tr)
-    try:
-        res = simulate_noncommuting_pauli(program, "011", 1, EstimatorConfig(k_override=500),
-                                          np.random.default_rng(2))
-    finally:
-        tr.restore()
-    assert tr.calls("estimator.phase") > 0
-    assert tr.counts["estimator.samples"] == res.k == 500
-    # one read of each pair's samples and one of their images: building an
-    # amplitude table does not call the traced method again
-    assert tr.counts["stabilizer.amplitude_evals"] == 2 * res.k
-    assert tr.counts["stabilizer.evolve_calls"] == 1
+    # each pair's sample count, from under the hook that the tracer installs
+    pair_ks = []
+
+    def recorded(psi, m, phi, cfg, rng):
+        pair_ks.append(cfg.k)
+        return estimator.estimate_monomial_sandwich(psi, m, phi, cfg, rng)
+
+    monkeypatch.setattr(paulisim, "estimate_monomial_sandwich", recorded)
+    for k in (500, 5):
+        pair_ks.clear()
+        tr = spans.Tracer()
+        run.instrument(tr)
+        try:
+            res = simulate_noncommuting_pauli(program, "011", 1, EstimatorConfig(k_override=k),
+                                              np.random.default_rng(2))
+        finally:
+            tr.restore()
+        assert tr.calls("estimator.phase") > 0
+        assert tr.counts["estimator.samples"] == res.k == sum(pair_ks) == k
+        # a pair with at least 2^3 samples reads its amplitudes on all 8
+        # labels, once for phi and once for the images, a smaller pair on its
+        # samples; building an amplitude table does not call the traced method
+        evals = tr.counts["stabilizer.amplitude_evals"]
+        assert evals == 2 * sum(min(kab, 8) for kab in pair_ks)
+        assert (max(pair_ks) >= 8) == (k == 500)
+        if k == 5:  # no pair tabulates: each sample is read twice
+            assert evals == 2 * res.k
+        assert tr.counts["stabilizer.evolve_calls"] == 1
 
 
 def test_warmup_tasks_meet_their_references(bench):

@@ -197,6 +197,17 @@ class TestErrorsAndDeterminism:
         cap = capsys.readouterr()
         assert not cap.out and "--max-amplitudes" in cap.err
 
+    @pytest.mark.parametrize("command", ["paulisim", "depth-overlap"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_workers_is_usage_error(self, qc, capsys, command, value):
+        path = qc("c.qc", "circuit 2\nh 1\n")
+        extra = ["--qubit", "1"] if command == "paulisim" else []
+        with pytest.raises(SystemExit) as exc:
+            dispatch([command, path, *extra, "--seed", "1", "--workers", value])
+        assert exc.value.code == 2
+        cap = capsys.readouterr()
+        assert not cap.out and "--workers" in cap.err
+
     @pytest.mark.parametrize("value", ["abc", "0", "-5"])
     def test_bad_cap_env(self, qc, capsys, monkeypatch, value):
         monkeypatch.setenv("COMMSIM_MAX_AMPLITUDES", value)

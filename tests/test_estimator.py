@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from commsim.errors import SizeMismatch
+from commsim.errors import SizeMismatch, ZeroAmplitudeSample
 from commsim.estimator import (
     Composition,
     DiagonalZExp,
@@ -12,7 +12,7 @@ from commsim.estimator import (
     estimate_monomial_sandwich,
 )
 from commsim.pauli import PauliOperator, parse_pauli
-from commsim.stabilizer import evolve, random_clifford_circuit
+from commsim.stabilizer import StabilizerState, evolve, random_clifford_circuit
 
 
 def _pauli_dense(p: PauliOperator) -> np.ndarray:
@@ -190,6 +190,19 @@ class TestSandwichEstimator:
             psi, _random_monomial(n, rng), phi, EstimatorConfig(k_override=500), rng
         )
         assert abs(res.value) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("k", [5, 8, 40])
+    def test_zero_amplitude_sample_raises(self, rng, k):
+        # phi's anchor is off its support, so every amplitude it gives is 0
+        # and the first sample divides by zero: on 3 qubits k = 5 reads the
+        # samples' amplitudes, k = 8 and 40 tabulate all 8 labels
+        gens = [parse_pauli(s) for s in ("ZII", "IXI", "IIX")]
+        off = next(y for y in range(8) if not StabilizerState(gens).in_support(y))
+        phi = StabilizerState(gens, anchor_y=off, anchor_amp=0.5, check=False)
+        psi = evolve(0, random_clifford_circuit(3, 6, rng))
+        m = PauliMonomial(PauliOperator.identity(3))
+        with pytest.raises(ZeroAmplitudeSample):
+            estimate_monomial_sandwich(psi, m, phi, EstimatorConfig(k_override=k), rng)
 
     def test_size_mismatch(self, rng):
         psi = evolve(0, random_clifford_circuit(2, 4, rng))

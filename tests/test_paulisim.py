@@ -16,7 +16,7 @@ from commsim.errors import (
     NotHermitian,
     TooManyExtras,
 )
-from commsim.estimator import EstimatorConfig
+from commsim.estimator import EstimatorConfig, estimate_monomial_sandwich
 from commsim.oracle import Observable, circuit_unitary, expectation, run_circuit
 from commsim.paulisim import (
     ExtraGate,
@@ -36,6 +36,27 @@ def _dense_value(gate_list, n, xv, qubit):
     label = "".join(str((xv >> k) & 1) for k in range(n))
     s = run_circuit(c, label)
     return expectation(s, Observable((qubit,), Z2))
+
+
+_PINNED_PROGRAMS = {
+    "n8": [
+        MemberGate(0.3, parse_pauli("-IZZZXZZI")),
+        MemberGate(-0.7, parse_pauli("+IZXYIZZI")),
+        ExtraGate(0.4, parse_pauli("XYIZIIXI")),
+        MemberGate(1.1, parse_pauli("-XIXYIZZI")),
+        MemberGate(0.5, parse_pauli("-XIYYYIXZ")),
+        ExtraGate(-0.6, parse_pauli("IIZXXIYI")),
+        MemberGate(-1.3, parse_pauli("+IIXYXZIZ")),
+        MemberGate(0.9, parse_pauli("+IZXXYIXI")),
+    ],
+    "n3": [
+        MemberGate(0.6, parse_pauli("+YIZ")),
+        ExtraGate(0.8, parse_pauli("XXI")),
+        MemberGate(-1.2, parse_pauli("-YII")),
+        ExtraGate(-0.3, parse_pauli("IZY")),
+        MemberGate(0.25, parse_pauli("+YZZ")),
+    ],
+}
 
 
 def _random_hermitian_pauli(n, rng):
@@ -259,6 +280,33 @@ class TestNonCommutingSimulation:
                 [MemberGate(0.3, zz), ExtraGate(0.2, PauliOperator(65, 0, 1, 0))], 0, 0, cfg, rng
             )
         assert not compiled
+
+    @pytest.mark.parametrize(
+        "name, x, qubit, cfg, seed, pinned",
+        [
+            ("n8", "01101001", 2, EstimatorConfig(epsilon=0.1, delta=0.05), 11,
+             "0x1.4876aa03f7aeap-3"),
+            ("n8", "11000101", 5, EstimatorConfig(k_override=3000), 12, "-0x1.ed3907eaa0052p-1"),
+            ("n3", "011", 1, EstimatorConfig(k_override=60), 13, "-0x1.75c3fa5332707p-2"),
+            ("n3", "100", 0, EstimatorConfig(k_override=200), 14, "0x1.65a59e2cdb301p-1"),
+        ],
+    )
+    def test_outputs_pinned_bit_for_bit(self, monkeypatch, name, x, qubit, cfg, seed, pinned):
+        # raw means recorded before the sample variable was tabulated on
+        # small registers; each case has pairs with fewer samples than 2^n
+        # labels (read per sample) and pairs with at least 2^n (tabulated)
+        ks = []
+
+        def recorded(psi, m, phi, pair_cfg, rng):
+            ks.append(pair_cfg.k)
+            return estimate_monomial_sandwich(psi, m, phi, pair_cfg, rng)
+
+        monkeypatch.setattr(paulisim, "estimate_monomial_sandwich", recorded)
+        program = _PINNED_PROGRAMS[name]
+        n = program[0].pauli.n
+        res = simulate_noncommuting_pauli(program, x, qubit, cfg, np.random.default_rng(seed))
+        assert float.hex(res.raw_value) == pinned
+        assert min(ks) < 1 << n <= max(ks)
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):

@@ -398,6 +398,30 @@ class TestEvolve:
                 check(short, long)
                 assert not st.amplitudes_raw_many(long).any()
 
+    def test_labels_outside_register_read_zero(self, rng):
+        # like amplitude_raw and the kernel, the table path gives 0 for a
+        # label of 2^n or more, before and after the table exists; on
+        # |++++> the label 2^64 - 1 must not wrap to the table's last entry
+        plus = evolve(0, CliffordCircuit(4, tuple(("h", (q,)) for q in range(4))))
+        states = [plus] + [
+            evolve(int(rng.integers(16)), random_clifford_circuit(4, 24, rng)) for _ in range(5)
+        ]
+        outside = np.array([16, 20, 2**64 - 1], dtype=np.uint64)
+        for st in states:
+            wide = np.concatenate([rng.integers(0, 16, size=20, dtype=np.uint64), outside])
+
+            def check(*batches):
+                for batch in batches:
+                    want = [st.amplitude_raw(y) for y in batch.tolist()]
+                    assert st.amplitudes_raw_many(batch).tolist() == want
+
+            check(outside)
+            assert st._dense is None
+            check(wide)  # 23 labels build the table
+            assert st._dense is not None
+            check(outside, wide)
+        assert not plus.amplitudes_raw_many(outside).any()
+
     @pytest.mark.parametrize("n", [8, 17, 64])
     def test_sample_many_pinned_to_per_mover_loop(self, n, rng):
         for s in sorted({0, 1, 8, 9, n} & set(range(n + 1))):
