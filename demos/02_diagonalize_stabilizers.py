@@ -50,7 +50,7 @@ def main():
     print(f"support dimension: {aff.s} (so {1 << aff.s} basis states, amplitude 2^-{aff.s}/2 each)")
     rng = np.random.default_rng(3)
     for y in state.sample_many(4, rng).tolist():
-        print(f"  |{label(y, state.n)}>  amplitude {state.amplitude(y):+.4f}")
+        print(f"  |{label(y, state.n)}>  amplitude {state.amplitude(label(y, state.n)):+.4f}")
 
     print("\n=== exact global phase tracking ===")
     from commsim.stabilizer import CliffordCircuit

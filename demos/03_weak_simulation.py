@@ -40,7 +40,8 @@ def main():
     print("\n=== commuting circuit on 40 qubits ===")
     n = 40
     gates = [(float(rng.uniform(0, 2 * np.pi)), p) for p in random_commuting_family(n, 30, rng)]
-    x = int(rng.integers(1 << 63)) % (1 << n)  # a random basis input
+    bits = int(rng.integers(1 << 63)) % (1 << n)
+    x = "".join(str((bits >> k) & 1) for k in range(n))  # a random basis input
     t0 = time.perf_counter()
     res = simulate_commuting_pauli(gates, x, 7, cfg, rng)
     dt = time.perf_counter() - t0

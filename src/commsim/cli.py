@@ -9,7 +9,6 @@ deterministic given (argv, seed); timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -258,7 +257,6 @@ def _cmd_paulisim(args) -> int:
     c = _load_circuit(args.circuit)
     gates = _gate_list(c)
     seed = _resolve_seed(args)
-    cfg = dataclasses.replace(args.cfg, k_override=args.shots)
     rng = np.random.default_rng(seed)
     x = args.input if args.input is not None else "0" * c.n
     qubit = args.qubit - 1
@@ -275,9 +273,9 @@ def _cmd_paulisim(args) -> int:
             if j < len(gates):
                 program.append(MemberGate(*gates[j]))
         program.extend(e for _, e in extras[pos:])  # slots past the end go last
-        res = simulate_noncommuting_pauli(program, x, qubit, cfg, rng, n=c.n)
+        res = simulate_noncommuting_pauli(program, x, qubit, args.cfg, rng, n=c.n)
     else:
-        res = simulate_commuting_pauli(gates, x, qubit, cfg, rng, n=c.n)
+        res = simulate_commuting_pauli(gates, x, qubit, args.cfg, rng, n=c.n)
     return _emit_estimate(res, seed)
 
 
@@ -315,14 +313,13 @@ def _cmd_merge_layers(args) -> int:
 def _cmd_depth_overlap(args) -> int:
     u = _load_circuit(args.circuit)
     seed = _resolve_seed(args)
-    cfg = dataclasses.replace(args.cfg, k_override=args.shots)
     rng = np.random.default_rng(seed)
     executor = DenseOracleExecutor(cap=_cap(args))
     if args.clifford:
         cliff = _load_clifford(args.clifford)
-        res = estimate_cd_clifford_overlap(u, cliff, cfg, executor, rng)
+        res = estimate_cd_clifford_overlap(u, cliff, args.cfg, executor, rng)
     else:
-        res = estimate_cd_overlap(u, cfg, executor, rng)
+        res = estimate_cd_overlap(u, args.cfg, executor, rng)
     return _emit_estimate(res, seed)
 
 
@@ -415,9 +412,8 @@ def dispatch(argv: list[str] | None = None) -> int:
         parser.error("--workers must be a positive integer")
     if hasattr(args, "epsilon"):
         try:
-            args.cfg = EstimatorConfig(epsilon=args.epsilon, delta=args.delta)
-            if args.shots is None:
-                args.cfg.k  # without --shots, the derived K must be a usable count
+            args.cfg = EstimatorConfig(args.epsilon, args.delta, k_override=args.shots)
+            args.cfg.k  # without --shots, the derived K must be a usable count
         except ValueError as exc:
             parser.error(str(exc))
     try:

@@ -32,7 +32,7 @@ from .errors import (
     PhaseMismatch,
     SizeMismatch,
 )
-from .oracle import Observable
+from .oracle import Observable, parse_basis_label
 
 FACTOR_NORM_TOL = 1e-10
 HERMITICITY_TOL = 1e-9
@@ -62,8 +62,6 @@ class ProductState:
 
     @classmethod
     def from_basis(cls, n: int, d: int, label) -> "ProductState":
-        from .oracle import parse_basis_label
-
         digits = parse_basis_label(label, n, d)
         factors = []
         for v in digits:

@@ -93,7 +93,11 @@ def _basis_index(x, n: int, d: int) -> int:
 
 
 def parse_basis_label(x, n: int, d: int) -> list[int]:
-    """Digits of a label, qudit 1 first: an int index, a digit string or sequence."""
+    """Digits of a basis label, qudit 1 first; the package's one label reader.
+
+    An int is the flat index with qudit 1 most significant; a digit string or
+    sequence lists the digits in qudit order.
+    """
     if isinstance(x, (int, np.integer)):
         digits = []
         v = int(x)

@@ -44,10 +44,10 @@ from .estimator import (
     PauliMonomial,
     estimate_monomial_sandwich,
 )
+from .oracle import parse_basis_label
 from .pauli import PauliOperator, commutes, multiply
 from .stabilizer import (
     CliffordCircuit,
-    _as_int_label,
     conjugate_pauli,
     diagonalize_commuting_set,
     evolve,
@@ -151,6 +151,7 @@ def simulate_noncommuting_pauli(
         raise SizeMismatch("gates act on different registers")
     if not 0 <= qubit < n:
         raise DimensionMismatch(f"observable qubit {qubit} outside the {n}-qubit register")
+    digits = parse_basis_label(x, n, 2)
     k = len(extras)
     if k > K_MAX:
         raise TooManyExtras(f"{k} extra gates exceed the cap of {K_MAX}")
@@ -164,7 +165,7 @@ def simulate_noncommuting_pauli(
     # sign of conjugating each member's exponent past the observable Pauli
     # (commutation is Clifford-invariant, so compare in the diagonal frame)
     f_obs = [1 if commutes(d.q, p_obs) else -1 for d in diag]
-    branches = _branches(program, c, _as_int_label(x, n))
+    branches = _branches(program, c, digits)
     weight = sum(b[0] for b in branches)
     if cfg.k_override is not None:
         k_total = cfg.k_override
@@ -203,7 +204,7 @@ def simulate_noncommuting_pauli(
     )
 
 
-def _branches(program, c: CliffordCircuit, xv: int) -> list:
+def _branches(program, c: CliffordCircuit, digits: list[int]) -> list:
     """(|c_a|, c_a / |c_a|, member signs, C^dag Sigma_a |x>) per branch with c_a != 0.
 
     Branches come in ``itertools.product`` order of the extras' choices.
@@ -212,7 +213,7 @@ def _branches(program, c: CliffordCircuit, xv: int) -> list:
     """
     members = [(i, g) for i, g in enumerate(program) if isinstance(g, MemberGate)]
     extras = [(i, g) for i, g in enumerate(program) if isinstance(g, ExtraGate)]
-    psi0 = evolve(xv, c.inverse())
+    psi0 = evolve(digits, c.inverse())
     images = [conjugate_pauli(c.inverse(), g.pauli) for _, g in extras]
     branches = []
     for choice in itertools.product((0, 1), repeat=len(extras)):

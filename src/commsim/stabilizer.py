@@ -33,8 +33,11 @@ their X or their Z parts.  The affine form runs it on the X block, which
 gives the movers, and then on the Z parts of the remaining constraints,
 whose pivot-row signs give a particular support element.  Prep synthesis
 reuses the state's affine form and runs it once more on the Z rows after
-its CNOTs.  Basis labels are ints with bit k = qubit k, or digit strings
-read by :func:`oracle.parse_basis_label`.
+its CNOTs.  Public basis labels are read by :func:`oracle.parse_basis_label`,
+so an int is the flat index with qubit 1 most significant.  Only the raw
+layer (``anchor_y``, ``in_support``, ``amplitude_raw``,
+``amplitudes_raw_many``, ``sample_many``) takes and returns bit-packed ints
+with bit k = qubit k.
 """
 
 from __future__ import annotations
@@ -243,12 +246,8 @@ def conjugate_pauli(c: CliffordCircuit, p: PauliOperator) -> PauliOperator:
 # stabilizer states
 
 
-def _as_int_label(x, n: int) -> int:
-    """Basis label as an int with bit k = qubit k; strings list qubits in order."""
-    if isinstance(x, (int, np.integer)):
-        if not 0 <= x < 1 << n:
-            raise ValueError(f"basis index {x} out of range for {n} qubits")
-        return int(x)
+def _label_mask(x, n: int) -> int:
+    """Bitmask (bit k = qubit k) of a public basis label."""
     return sum(bit << k for k, bit in enumerate(parse_basis_label(x, n, 2)))
 
 
@@ -501,7 +500,7 @@ class StabilizerState:
 
     def amplitude(self, y) -> complex:
         """Exact ``<y|psi>``; by convention the least support element is positive."""
-        y = _as_int_label(y, self.n)
+        y = _label_mask(y, self.n)
         aff = self.affine_form()
         a0 = self.amplitude_raw(aff.y0)
         ay = self.amplitude_raw(y)
@@ -641,7 +640,7 @@ def evolve(x, c: CliffordCircuit) -> StabilizerState:
     to find w, so each ``h`` costs one X-block elimination.
     """
     n = c.n
-    xv = _as_int_label(x, n)
+    xv = _label_mask(x, n)
     gens = [
         PauliOperator(n, 2 * ((xv >> k) & 1), 0, 1 << k) for k in range(n)
     ]

@@ -23,6 +23,11 @@ def bits_of(y: int, n: int) -> list[int]:
     return [(y >> k) & 1 for k in range(n)]
 
 
+def packed_label(y: int, n: int) -> str:
+    """Basis label digit string (qubit 1 first) of a bit-packed integer."""
+    return "".join(map(str, bits_of(y, n)))
+
+
 def oracle_index(y: int, n: int) -> int:
     """Flat statevector index (qubit 1 most significant) of packed ``y``."""
     idx = 0

@@ -153,18 +153,21 @@ def instances() -> tuple[list[dict], list[dict]]:
 
     rng = np.random.default_rng(1204_4570)
     sc, snc = "simulate_commuting_pauli", "simulate_noncommuting_pauli"
-    add("commuting-n3", sc, 3, _family(3, 4, 0, rng, 1), 5, 1, 11)
+    add("commuting-n3", sc, 3, _family(3, 4, 0, rng, 1), "101", 1, 11)
     add("commuting-n8", sc, 8, _family(8, 16, 0, rng, 3), "10110010", 3, 12)
-    add("commuting-n40", sc, 40, _family(40, 30, 0, rng, 17), int(rng.integers(1 << 40)), 17, 13,
+    prog = _family(40, 30, 0, rng, 17)
+    x = int(rng.integers(1 << 40))  # bit k is the digit of qubit k + 1
+    add("commuting-n40", sc, 40, prog, "".join(str((x >> k) & 1) for k in range(40)), 17, 13,
         epsilon=0.2)
     add("commuting-empty", sc, 2, [], "01", 1, 14, k_override=10)
-    add("extras-k0", snc, 5, _family(5, 6, 0, rng, 2), 9, 2, 21)
-    add("extras-k1", snc, 4, _family(4, 5, 1, rng, 0), 3, 0, 22)
-    add("extras-k1-zero-angle", snc, 4, _family(4, 5, 1, rng, 3, [0.0]), 6, 3, 23)
+    add("extras-k0", snc, 5, _family(5, 6, 0, rng, 2), "10010", 2, 21)
+    add("extras-k1", snc, 4, _family(4, 5, 1, rng, 0), "1100", 0, 22)
+    add("extras-k1-zero-angle", snc, 4, _family(4, 5, 1, rng, 3, [0.0]), "0110", 3, 23)
     add("extras-k2-n8", snc, 8, _family(8, 16, 2, rng, 5, [np.pi / 8, -3 * np.pi / 8]),
         "01101001", 5, 24, epsilon=0.2)
-    add("extras-k3", snc, 6, _family(6, 8, 3, rng, 4), 44, 4, 25, epsilon=0.5, delta=0.1)
-    add("extras-k3-override", snc, 5, _family(5, 6, 3, rng, 0), 17, 0, 26, k_override=3001)
+    add("extras-k3", snc, 6, _family(6, 8, 3, rng, 4), "001101", 4, 25, epsilon=0.5, delta=0.1)
+    add("extras-k3-override", snc, 5, _family(5, 6, 3, rng, 0), "10001", 0, 26,
+        k_override=3001)
 
     circuit = "circuit 3\nexppauli 0.4 ZZI\nexppauli 0.9 XXX\nexppauli -1.3 YYX\n"
     cli = [

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from conftest import (
     commuting_pauli_exp_circuit,
+    packed_label,
     pauli_statevector_matrix,
     random_commuting_paulis,
     random_hermitian,
@@ -69,10 +70,9 @@ def _oracle_expectation(c: Circuit, inp: ProductState, obs: Observable) -> float
     return expectation(apply_circuit(product_state(inp.factors, inp.d), c), obs)
 
 
-def _dense_z_value(gate_list, n, xv, qubit):
+def _dense_z_value(gate_list, n, x, qubit):
     c = Circuit(n, 2, [PauliExpGate(th, p) for th, p in gate_list])
-    label = "".join(str((xv >> k) & 1) for k in range(n))
-    return expectation(run_circuit(c, label), Observable((qubit,), Z2))
+    return expectation(run_circuit(c, x), Observable((qubit,), Z2))
 
 
 def _p0(test: Circuit) -> float:
@@ -205,10 +205,10 @@ def _weak_simulation_runs():
         m = int(rng.integers(1, 21))
         ps = random_commuting_paulis(n, m, rng, z_weight_cap=None)
         gate_list = [(float(rng.uniform(0, 2 * np.pi)), p) for p in ps]
-        xv = int(rng.integers(1 << n))
-        want = _dense_z_value(gate_list, n, xv, 0)
+        x = packed_label(int(rng.integers(1 << n)), n)
+        want = _dense_z_value(gate_list, n, x, 0)
         t0 = time.perf_counter()
-        res = simulate_commuting_pauli(gate_list, xv, 0, cfg, rng)
+        res = simulate_commuting_pauli(gate_list, x, 0, cfg, rng)
         times.append(time.perf_counter() - t0)
         errors.append(abs(res.value - want))
         violations.append(res.max_modulus_violation)
@@ -258,9 +258,9 @@ def _noncommuting_runs():
         program = list(members)
         for g in extras:
             program.insert(int(rng.integers(len(program) + 1)), g)
-        xv = int(rng.integers(1 << n))
-        want = _dense_z_value([(g.theta, g.pauli) for g in program], n, xv, 0)
-        res = simulate_noncommuting_pauli(program, xv, 0, cfg, rng)
+        x = packed_label(int(rng.integers(1 << n)), n)
+        want = _dense_z_value([(g.theta, g.pauli) for g in program], n, x, 0)
+        res = simulate_noncommuting_pauli(program, x, 0, cfg, rng)
         errors.append(abs(res.value - want))
     return errors, cfg
 
@@ -276,11 +276,11 @@ def test_criterion_06_noncommuting_extras(capsys):
         ps = random_commuting_paulis(n, 3, rng)
         gl = [(float(rng.uniform(0, 2 * np.pi)), p) for p in ps]
         c1 = simulate_commuting_pauli(
-            gl, 3, 0, EstimatorConfig(epsilon=0.1, delta=0.05), np.random.default_rng(77)
+            gl, "1100", 0, EstimatorConfig(epsilon=0.1, delta=0.05), np.random.default_rng(77)
         )
         c2 = simulate_noncommuting_pauli(
             [MemberGate(th, p) for th, p in gl],
-            3,
+            "1100",
             0,
             EstimatorConfig(epsilon=0.1, delta=0.05),
             np.random.default_rng(77),

@@ -320,13 +320,17 @@ class TestErrorsAndDeterminism:
         code, _, err = run_cli(capsys, "paulisim", path, "--qubit", "9", "--seed", "1")
         assert code == 1 and "outside the register" in err
 
+    @pytest.mark.parametrize("command", ["paulisim", "depth-overlap"])
     @pytest.mark.parametrize("shots", ["0", "-3"])
-    def test_paulisim_rejects_nonpositive_shots(self, qc, capsys, shots):
+    def test_nonpositive_shots_is_usage_error(self, qc, capsys, command, shots):
+        # refused while parsing, before the command notes its seed
         path = qc("c.qc", XROT)
-        code, out, err = run_cli(
-            capsys, "paulisim", path, "--qubit", "1", "--seed", "1", "--shots", shots
-        )
-        assert code == 1 and not out and "error:" in err
+        extra = ["--qubit", "1"] if command == "paulisim" else []
+        with pytest.raises(SystemExit) as exc:
+            dispatch([command, path, *extra, "--seed", "1", "--shots", shots])
+        assert exc.value.code == 2
+        cap = capsys.readouterr()
+        assert not cap.out and "sample count" in cap.err and "seed: 1" not in cap.err
 
     @pytest.mark.parametrize("extras", [[], ["--extras"]])
     def test_paulisim_rejects_wide_register(self, qc, capsys, extras):

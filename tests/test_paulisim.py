@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import pauli_statevector_matrix, random_commuting_paulis
+from conftest import bits_of, packed_label, pauli_statevector_matrix, random_commuting_paulis
 
 from commsim import paulisim
 from commsim.circuit import Circuit, PauliExpGate
@@ -31,10 +31,9 @@ from commsim.stabilizer import evolve
 Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def _dense_value(gate_list, n, xv, qubit):
+def _dense_value(gate_list, n, x, qubit):
     c = Circuit(n, 2, [PauliExpGate(th, p) for th, p in gate_list])
-    label = "".join(str((xv >> k) & 1) for k in range(n))
-    s = run_circuit(c, label)
+    s = run_circuit(c, x)
     return expectation(s, Observable((qubit,), Z2))
 
 
@@ -140,10 +139,10 @@ class TestCommutingSimulation:
             n = int(rng.integers(2, 6))
             ps = random_commuting_paulis(n, int(rng.integers(1, n + 2)), rng)
             gate_list = [(float(rng.uniform(0, 2 * np.pi)), p) for p in ps]
-            xv = int(rng.integers(1 << n))
+            x = packed_label(int(rng.integers(1 << n)), n)
             q = int(rng.integers(n))
-            want = _dense_value(gate_list, n, xv, q)
-            res = simulate_commuting_pauli(gate_list, xv, q, cfg, rng)
+            want = _dense_value(gate_list, n, x, q)
+            res = simulate_commuting_pauli(gate_list, x, q, cfg, rng)
             if abs(res.value - want) > cfg.epsilon:
                 misses += 1
             assert res.max_modulus_violation < 1e-12
@@ -155,8 +154,8 @@ class TestCommutingSimulation:
         gl1 = [(0.9, parse_pauli("ZX"))]
         gl2 = [(-0.9, parse_pauli("-ZX"))]
         cfg = EstimatorConfig(epsilon=0.1, delta=0.02)
-        r1 = simulate_commuting_pauli(gl1, 2, 0, cfg, np.random.default_rng(7))
-        r2 = simulate_commuting_pauli(gl2, 2, 0, cfg, np.random.default_rng(7))
+        r1 = simulate_commuting_pauli(gl1, "01", 0, cfg, np.random.default_rng(7))
+        r2 = simulate_commuting_pauli(gl2, "01", 0, cfg, np.random.default_rng(7))
         assert r1.value == pytest.approx(r2.value, abs=1e-12)
 
 
@@ -185,11 +184,11 @@ class TestNonCommutingSimulation:
             program = list(members)
             for g in extras:
                 program.insert(int(rng.integers(len(program) + 1)), g)
-            xv = int(rng.integers(1 << n))
+            x = packed_label(int(rng.integers(1 << n)), n)
             q = int(rng.integers(n))
             gate_list = [(g.theta, g.pauli) for g in program]
-            want = _dense_value(gate_list, n, xv, q)
-            res = simulate_noncommuting_pauli(program, xv, q, cfg, rng)
+            want = _dense_value(gate_list, n, x, q)
+            res = simulate_noncommuting_pauli(program, x, q, cfg, rng)
             if abs(res.value - want) > cfg.epsilon:
                 misses += 1
         assert misses <= 1
@@ -207,10 +206,10 @@ class TestNonCommutingSimulation:
                     int(rng.integers(len(program) + 1)),
                     ExtraGate(float(rng.uniform(0, 2 * np.pi)), _random_hermitian_pauli(n, rng)),
                 )
-            xv = int(rng.integers(1 << n))
+            x = packed_label(int(rng.integers(1 << n)), n)
             q = int(rng.integers(n))
-            want = _dense_value([(g.theta, g.pauli) for g in program], n, xv, q)
-            res = simulate_noncommuting_pauli(program, xv, q, cfg, rng)
+            want = _dense_value([(g.theta, g.pauli) for g in program], n, x, q)
+            res = simulate_noncommuting_pauli(program, x, q, cfg, rng)
             assert abs(res.value - want) <= cfg.epsilon
 
     def test_total_sample_count(self, rng):
@@ -281,6 +280,20 @@ class TestNonCommutingSimulation:
             )
         assert not compiled
 
+    @pytest.mark.parametrize("x", ["0a1", "01", 8])
+    def test_bad_label_refused_before_compiling(self, rng, monkeypatch, x):
+        compiled = []
+        monkeypatch.setattr(paulisim, "compile_commuting_pauli", lambda *a: compiled.append(a))
+        zz = parse_pauli("ZZI")
+        cfg = EstimatorConfig(k_override=5)
+        with pytest.raises(ValueError, match="basis"):
+            simulate_commuting_pauli([(0.3, zz)], x, 0, cfg, rng)
+        with pytest.raises(ValueError, match="basis"):
+            simulate_noncommuting_pauli(
+                [MemberGate(0.3, zz), ExtraGate(0.2, parse_pauli("XII"))], x, 0, cfg, rng
+            )
+        assert not compiled
+
     @pytest.mark.parametrize(
         "name, x, qubit, cfg, seed, pinned",
         [
@@ -345,7 +358,7 @@ class TestBranches:
             members = [(g.theta, g.pauli) for g in program if isinstance(g, MemberGate)]
             c, _, _ = compile_commuting_pauli(members)
             xv = int(rng.integers(1 << n))
-            branches = paulisim._branches(program, c, xv)
+            branches = paulisim._branches(program, c, bits_of(xv, n))
             choices = list(itertools.product((0, 1), repeat=k))
             assert len(branches) == len(choices)
             for choice, (_, _, _, psi) in zip(choices, branches):
@@ -354,7 +367,7 @@ class TestBranches:
                     if take:
                         sigma = multiply(sigma, p)
                 mu, z = 1j ** sigma.phase_exponent_on_basis(xv), xv ^ sigma.a
-                want = evolve(z, c.inverse())
+                want = evolve(bits_of(z, n), c.inverse())
                 # same generators, so the same affine form and sample stream
                 assert psi.generators == want.generators
                 got, ref = psi.affine_form(), want.affine_form()
@@ -379,5 +392,5 @@ class TestBranches:
         for k in (0, 1, 3):
             calls.clear()
             program = _random_program(4, k, rng)
-            simulate_noncommuting_pauli(program, 5, 1, EstimatorConfig(k_override=64), rng)
+            simulate_noncommuting_pauli(program, "1010", 1, EstimatorConfig(k_override=64), rng)
             assert len(calls) == 1
