@@ -1,15 +1,16 @@
 """Instances and runners of the golden cases in ``paulisim.json`` and ``cli.json``.
 
 ``tests/test_golden.py`` replays each case with :func:`run_library`,
-:func:`run_paulisim_command` or :func:`run_command` and compares the result
-with the recorded one by :func:`_same`.  Running this file re-records every
-case of both files on the current tree:
+:func:`run_overlap`, :func:`run_paulisim_command` or :func:`run_command` and
+compares the result with the recorded one by :func:`_same`.  Running this
+file re-records every case of both files on the current tree:
 
     PYTHONPATH=src python tests/golden/record.py
 
 A file is rewritten only when its case list changed or some recorded value
 moved by more than the replay tolerance, so last-bit float noise stays out
-of the file a re-record was not meant for.  Only a change that means to
+of the file a re-record was not meant for.  The run prints each case added
+or removed and each moved value as old -> new.  Only a change that means to
 move these outputs may re-record, and CHANGES.md then says which values
 moved and why.
 """
@@ -25,8 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
+from commsim.circuit import parse_circuit
 from commsim.cli import dispatch
 from commsim.estimator import EstimatorConfig
+from commsim.oracle import DenseOracleExecutor
 from commsim.pauli import PauliOperator, commutes, format_pauli, multiply, parse_pauli
 from commsim.paulisim import (
     ExtraGate,
@@ -34,7 +37,8 @@ from commsim.paulisim import (
     simulate_commuting_pauli,
     simulate_noncommuting_pauli,
 )
-from commsim.stabilizer import conjugate_pauli, random_clifford_circuit
+from commsim.stabilizer import CliffordCircuit, conjugate_pauli, random_clifford_circuit
+from commsim.transformers import estimate_cd_clifford_overlap, estimate_cd_overlap
 
 GOLDEN = Path(__file__).resolve().parent / "paulisim.json"
 GOLDEN_CLI = GOLDEN.with_name("cli.json")
@@ -83,6 +87,21 @@ def run_library(case) -> dict:
         "k": res.k,
         "max_modulus_violation": float(res.max_modulus_violation),
     }
+
+
+def run_overlap(case) -> dict:
+    """``raw_value`` and ``k`` of one overlap estimator case."""
+    u = parse_circuit(case["circuit"])
+    cfg = EstimatorConfig(
+        epsilon=case["epsilon"], delta=case["delta"], k_override=case["k_override"]
+    )
+    rng = np.random.default_rng(case["seed"])
+    if case["clifford"] is None:
+        res = estimate_cd_overlap(u, cfg, DenseOracleExecutor(), rng)
+    else:
+        c = CliffordCircuit(u.n, tuple((name, tuple(qs)) for name, qs in case["clifford"]))
+        res = estimate_cd_clifford_overlap(u, c, cfg, DenseOracleExecutor(), rng)
+    return {"raw_value": float(res.raw_value), "k": res.k}
 
 
 def _stdout_object(argv: list[str]) -> dict:
@@ -183,6 +202,21 @@ def instances() -> tuple[list[dict], list[dict]]:
     return lib, cli
 
 
+def overlap_instances() -> list[dict]:
+    """Overlap estimator cases: each estimator on one shallow circuit at two seeds."""
+    u = ("circuit 4\nh 1\nh 4\nexppauli 0.6 XZII\nexppauli -0.4 IZXI\n"
+         "exppauli 1.1 IIZZ\nexppauli 0.3 ZIIX\n")
+    # 0-based gates whose images of Z(S) carry every phase i^t
+    clifford = [["cz", [0, 1]], ["z", [0]], ["h", [2]], ["cz", [2, 1]], ["s", [2]],
+                ["h", [0]], ["s", [1]], ["h", [2]], ["h", [3]], ["cnot", [3, 0]]]
+    return [
+        dict(name=f"{name}-seed{seed}", circuit=u, clifford=c, seed=seed,
+             epsilon=0.2, delta=0.1, k_override=None)
+        for name, c in (("plain", None), ("clifford", clifford))
+        for seed in (41, 42)
+    ]
+
+
 def cli_instances() -> list[dict]:
     """Command cases for every subcommand but ``paulisim``, from one fixed seed."""
     rng = np.random.default_rng(1204_4571)
@@ -274,25 +308,77 @@ def main():
     lib, cli = instances()
     for case in lib:
         case["want"] = run_library(case)
+    overlap = overlap_instances()
+    for case in overlap:
+        case["want"] = run_overlap(case)
     commands = cli_instances()
     with tempfile.TemporaryDirectory() as tmp:
         for case in cli:
             case["want"] = run_paulisim_command(case, Path(tmp))
         for case in commands:
             case["want"] = run_command(case, Path(tmp))
-    _write_if_moved(GOLDEN, {"library": lib, "cli": cli})
+    _write_if_moved(GOLDEN, {"library": lib, "overlap": overlap, "cli": cli})
     _write_if_moved(GOLDEN_CLI, {"commands": commands})
 
 
 def _write_if_moved(path: Path, data: dict):
-    """Write ``data`` unless ``path`` already holds the same cases and values."""
-    text = json.dumps(data, indent=1) + "\n"
-    if path.exists() and _same(json.loads(text), json.loads(path.read_text())):
+    """Write ``data`` unless ``path`` already holds the same cases and values.
+
+    A value that moved by no more than the replay tolerance keeps its
+    recorded form.  Prints one line per case added or removed and per
+    recorded value moved.
+    """
+    data = json.loads(json.dumps(data))
+    old = json.loads(path.read_text()) if path.exists() else {}
+    lines = _changes(old, data)
+    if not lines and data.keys() == old.keys():
         print(f"{path.name}: unchanged")
         return
-    path.write_text(text)
+    path.write_text(json.dumps(data, indent=1) + "\n")
     print(f"{path.name}: written")
+    for line in lines:
+        print(f"  {line}")
 
+
+def _changes(old: dict, new: dict) -> list[str]:
+    """Cases added or removed, changed instances and moved values, per group/case.
+
+    Settles each case of ``new`` that ``old`` also holds, as :func:`_settle`.
+    """
+    lines = []
+    for group in dict.fromkeys([*new, *old]):
+        was = {c["name"]: c for c in old.get(group, [])}
+        now = {c["name"]: c for c in new.get(group, [])}
+        lines += [f"{group}/{name}: removed" for name in was if name not in now]
+        for name, case in now.items():
+            if name not in was:
+                lines.append(f"{group}/{name}: added")
+                continue
+            instance = {k: v for k, v in case.items() if k != "want"}
+            if not _same(instance, {k: v for k, v in was[name].items() if k != "want"}):
+                lines.append(f"{group}/{name}: instance changed")
+            moved = []
+            case["want"] = _settle(was[name]["want"], case["want"], "want", moved)
+            lines += [f"{group}/{name} {key}: {_short(w)} -> {_short(g)}" for key, w, g in moved]
+    return lines
+
+
+def _settle(want, got, key: str, moved: list):
+    """``got`` with each leaf that :func:`_same` cannot tell from ``want`` as
+    recorded; appends (key, old, new) of every other leaf to ``moved``."""
+    if isinstance(want, dict) and isinstance(got, dict) and want.keys() == got.keys():
+        return {k: _settle(want[k], got[k], f"{key}.{k}", moved) for k in got}
+    if isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
+        return [_settle(w, g, f"{key}[{i}]", moved) for i, (w, g) in enumerate(zip(want, got))]
+    if _same(got, want):
+        return want
+    moved.append((key, want, got))
+    return got
+
+
+def _short(value, width: int = 60) -> str:
+    text = repr(value)
+    return text if len(text) <= width else f"{text[: width - 3]}..."
 
 if __name__ == "__main__":
     main()
