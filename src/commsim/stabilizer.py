@@ -721,7 +721,8 @@ def _independent_commuting(paulis: list[PauliOperator]) -> list[int]:
 def complete_generators(indep: list[PauliOperator], n: int | None = None) -> StabilizerState:
     """Extend an independent commuting Hermitian set to a full stabilizer state.
 
-    The returned state's first ``len(indep)`` generators are the inputs.
+    The returned state's first ``len(indep)`` generators are the inputs,
+    and the rest are Z-type.
     """
     if indep:
         n = indep[0].n
@@ -743,31 +744,24 @@ def complete_generators(indep: list[PauliOperator], n: int | None = None) -> Sta
 def _complete(indep: list[PauliOperator], n: int) -> StabilizerState:
     """:func:`complete_generators` for an input already known to be valid.
 
-    Each added generator is Hermitian, commutes with every earlier one and
-    lies outside their span, so the state needs no check of its own.
+    Adds only Z-type generators.  Z^b commutes with every member iff b is
+    orthogonal to every member's X part: if r is the X parts' rank, that is
+    an (n - r)-dimensional space, of which the k members' span holds only
+    k - r dimensions.  So n - k independent Z^b outside the span always
+    exist, the state needs no check of its own, and the prep circuit needs
+    at most r H gates.
     """
-    gens = list(indep)
-    while len(gens) < n:
-        # symplectic orthogonality: v commutes with w iff parity(v & swap(w)) = 0
-        cons = [_swap_halves(g.r, n) for g in gens]
-        rows = [g.r for g in gens]
-        null = gf2.nullspace(cons, 2 * n)
-        # the rows are independent, so the first index kept past them is the
-        # first nullspace vector outside their span
-        keep = gf2.independent_indices(rows + null)
-        if len(keep) == len(rows):
-            raise AssertionError("isotropic extension failed")
-        v = null[keep[len(rows)] - len(rows)]
-        a = v & ((1 << n) - 1)
-        b = v >> n
-        t = (a & b).bit_count() & 1  # smallest Hermitian phase
-        gens.append(PauliOperator(n, t, a, b))
-    return StabilizerState(gens, check=False)
-
-
-def _swap_halves(r: int, n: int) -> int:
-    mask = (1 << n) - 1
-    return ((r & mask) << n) | (r >> n)
+    if len(indep) == n:  # already complete: skip both eliminations
+        return StabilizerState(list(indep), check=False)
+    rows = [g.r for g in indep]
+    zs = gf2.nullspace([g.a for g in indep], n)
+    # the rows are independent, so the indices kept past them pick the
+    # Z^b outside the running span
+    keep = gf2.independent_indices(rows + [b << n for b in zs])[len(rows) :]
+    if len(rows) + len(keep) != n:
+        raise AssertionError("isotropic extension failed")
+    added = [PauliOperator(n, 0, 0, zs[i - len(rows)]) for i in keep]
+    return StabilizerState(list(indep) + added, check=False)
 
 
 def synthesize_prep(s: StabilizerState) -> CliffordCircuit:
@@ -829,13 +823,7 @@ def diagonalize_commuting_set(
         raise ValueError("need at least one Pauli operator")
     n = paulis[0].n
     indep = [paulis[i] for i in _independent_commuting(paulis)]
-    if indep:
-        state = _complete(indep, n)
-    else:
-        state = StabilizerState(
-            [PauliOperator(n, 0, 0, 1 << k) for k in range(n)]
-        )
-    c = synthesize_prep(state)
+    c = synthesize_prep(_complete(indep, n))
     qs = _conj_rows(paulis, c.inverse().gates)
     for i, q in enumerate(qs):
         if not q.is_z_type():

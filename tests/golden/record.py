@@ -65,7 +65,9 @@ def _same(got, want) -> bool:
     if isinstance(want, float):
         return isinstance(got, float) and abs(got - want) <= FLOAT_TOL
     if isinstance(want, str) and isinstance(got, str) and got != want:
-        return _same([_token(t) for t in got.split()], [_token(t) for t in want.split()])
+        toks = [_token(t) for t in got.split()], [_token(t) for t in want.split()]
+        # two different single words stay unequal rather than split again
+        return toks != ([got], [want]) and _same(*toks)
     return type(got) is type(want) and got == want
 
 
@@ -379,6 +381,7 @@ def _settle(want, got, key: str, moved: list):
 def _short(value, width: int = 60) -> str:
     text = repr(value)
     return text if len(text) <= width else f"{text[: width - 3]}..."
+
 
 if __name__ == "__main__":
     main()

@@ -4,11 +4,12 @@ Each case in ``golden/paulisim.json`` stores its instance (Pauli strings,
 angles, input, seed) and the outputs recorded for it: the library's
 ``raw_value``, ``k`` and ``max_modulus_violation``, and the command's stdout
 object.  Its overlap cases store a circuit, an optional Clifford and a seed,
-and the overlap estimators' ``raw_value`` and ``k``.  Each case in ``golden/cli.json`` stores the argv and input files of
-one command and its stdout object.  Ints and strings must match exactly and
-floats to 1e-12: any change to a sample stream moves an estimate by about
-1/K, far above that, while another BLAS or SIMD ``exp`` may still round the
-last bits differently.  The matrix entries in a serialized circuit are
+and the overlap estimators' ``raw_value`` and ``k``.  Each case in
+``golden/cli.json`` stores the argv and input files of one command and its
+stdout object.  Ints and strings must match exactly and floats to 1e-12:
+any change to a sample stream moves an estimate by about 1/K, far above
+that, while another BLAS or SIMD ``exp`` may still round the last bits
+differently.  The matrix entries in a serialized circuit are
 floats too, so two strings that differ are compared token by token.
 ``golden/record.py`` holds the instances and re-records them.
 """
@@ -71,6 +72,7 @@ def test_comparison_rule():
     assert not _same(1, 1.0) and not _same(True, 1)
     assert _same("dense 1 0.25 0.5\nh 2\n", "dense 1 0.25000000000000006 0.5\nh 2\n")
     assert not _same("h 1\n", "h 2\n") and not _same("h 1\n", "h 1 1\n")
+    assert not _same("+IZ", "-IZ") and not _same(["+IZ"], ["-IZ"])
 
 
 def test_rerecord_names_what_moved():

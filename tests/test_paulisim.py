@@ -298,7 +298,7 @@ class TestNonCommutingSimulation:
         "name, x, qubit, cfg, seed, pinned",
         [
             ("n8", "01101001", 2, EstimatorConfig(epsilon=0.1, delta=0.05), 11,
-             "0x1.4876aa03f7aeap-3"),
+             "0x1.32a2646e3b094p-3"),
             ("n8", "11000101", 5, EstimatorConfig(k_override=3000), 12, "-0x1.ed3907eaa0052p-1"),
             ("n3", "011", 1, EstimatorConfig(k_override=60), 13, "-0x1.75c3fa5332707p-2"),
             ("n3", "100", 0, EstimatorConfig(k_override=200), 14, "0x1.65a59e2cdb301p-1"),
@@ -306,8 +306,9 @@ class TestNonCommutingSimulation:
     )
     def test_outputs_pinned_bit_for_bit(self, monkeypatch, name, x, qubit, cfg, seed, pinned):
         # raw means recorded before the sample variable was tabulated on
-        # small registers; each case has pairs with fewer samples than 2^n
-        # labels (read per sample) and pairs with at least 2^n (tabulated)
+        # small registers (the first case again after completion turned
+        # Z-type); each case has pairs with fewer samples than 2^n labels
+        # (read per sample) and pairs with at least 2^n (tabulated)
         ks = []
 
         def recorded(psi, m, phi, pair_cfg, rng):

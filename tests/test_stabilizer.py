@@ -18,7 +18,7 @@ from commsim.errors import (
     SizeMismatch,
 )
 from commsim.oracle import circuit_unitary, run_circuit
-from commsim.pauli import PauliOperator, commutes, multiply, parse_pauli
+from commsim.pauli import PauliOperator, commutes, format_pauli, multiply, parse_pauli
 from commsim.stabilizer import (
     CliffordCircuit,
     CliffordTableau,
@@ -467,8 +467,6 @@ class TestCompletionAndSynthesis:
             n = int(rng.integers(2, 7))
             m = int(rng.integers(1, n + 1))
             ps = random_commuting_paulis(n, 2 * n, rng)
-            from commsim import gf2
-
             keep = gf2.independent_indices([p.r for p in ps])[:m]
             indep = [ps[i] for i in keep]
             state = complete_generators(indep)
@@ -478,6 +476,19 @@ class TestCompletionAndSynthesis:
                 assert g.is_hermitian()
                 for h in gens[i + 1 :]:
                     assert commutes(g, h)
+            # n independent generators, every added one Z-type, so the prep
+            # circuit needs an H only per unit of the inputs' X rank
+            assert len(gf2.independent_indices([g.r for g in gens])) == n
+            assert all(g.is_z_type() for g in gens[len(indep) :])
+            x_rank = len(gf2.independent_indices([p.a for p in indep]))
+            hs = [name for name, _ in synthesize_prep(state).gates if name == "h"]
+            assert len(hs) <= x_rank
+
+    def test_signed_z_members_need_no_hadamard(self):
+        ps = [parse_pauli("ZZI"), parse_pauli("-IZZ")]
+        c, qs = diagonalize_commuting_set(ps)
+        assert all(name != "h" for name, _ in c.gates)
+        assert [format_pauli(q) for q in qs] == ["+ZZI", "+IZZ"]
 
     @pytest.mark.parametrize(
         "n, m, density, part, eligible",
