@@ -187,6 +187,49 @@ class TestTextFormat:
             ("circuit 2\n\nh 0\n", 3),
             ("circuit 2\ndense 1 1 1.0 0.0\n", 2),
             ("circuit 2\nh 1\ndense 1 2 1 0 0 0 0 0 2 0\n", 3),
+            # header: missing, malformed, 'dim' keyword, count, dimension, n, d
+            ("", 1),
+            ("# only a comment\n\n", 1),
+            ("circuit\n", 1),
+            ("# c\nqc 2\n", 2),
+            ("circuit 2 dim\n", 1),
+            ("circuit 2 dum 3\n", 1),
+            ("\ncircuit 2.5\n", 2),
+            ("circuit 2 dim x\n", 1),
+            ("circuit 0\n", 1),
+            ("circuit 2 dim 1\n", 1),
+            # arity, and a bad or out-of-range index
+            ("circuit 2\nh 1 2\n", 2),
+            ("circuit 2\ncnot 1\n", 2),
+            ("circuit 2\nh a\n", 2),
+            ("circuit 2\ncz 1 -1\n", 2),
+            # exppauli: arity, angle, non-finite angle, long Pauli, bad letter
+            ("circuit 2\nexppauli 0.1\n", 2),
+            ("circuit 2\nexppauli x ZZ\n", 2),
+            ("circuit 2\nexppauli inf ZZ\n", 2),
+            ("circuit 2\nexppauli nan Z\n", 2),
+            ("circuit 2\nexppauli 0.1 ZZZ\n", 2),
+            ("circuit 2\nexppauli 0.1 ZQ\n", 2),
+            # dense: locality, indices, float count and literal, unitarity
+            ("circuit 2\ndense\n", 2),
+            ("circuit 2\ndense x 1\n", 2),
+            ("circuit 2\ndense -1 1 0\n", 2),
+            ("circuit 2\ndense 2 1\n", 2),
+            ("circuit 2\ndense 1 1 1 0\n", 2),
+            ("circuit 2\ndense 1 1 1 0 0 0 0 0 1 zz\n", 2),
+            ("circuit 2\ndense 1 1 2 0 0 0 0 0 1 0\n", 2),
+            ("circuit 2\ndense 1 1 nan 0 0 0 0 0 1 0\n", 2),
+            ("circuit 2\ndense 2 2 2 " + "1 0 " * 16 + "\n", 2),
+            # ctrl: arity, bad control, unknown inner gate
+            ("circuit 2\nctrl 1\n", 2),
+            ("circuit 2\nctrl a x 2\n", 2),
+            ("circuit 2\nctrl 1 foo 2\n", 2),
+            # d = 3 for named, exppauli and ctrl
+            ("circuit 2 dim 3\nh 1\n", 2),
+            ("circuit 2 dim 3\nexppauli 0.1 ZZ\n", 2),
+            ("circuit 2 dim 3\nctrl 1 x 2\n", 2),
+            # an error after a layer separator
+            ("circuit 2\nh 1\n---\nh 5\n", 4),
         ],
     )
     def test_parse_error_lines(self, text, line):
