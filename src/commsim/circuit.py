@@ -209,7 +209,7 @@ def _restrict_pauli(p: PauliOperator) -> PauliOperator:
     for i, k in enumerate(sup):
         a |= ((p.a >> k) & 1) << i
         b |= ((p.b >> k) & 1) << i
-    return PauliOperator(max(len(sup), 1), p.t, a, b)
+    return PauliOperator(len(sup), p.t, a, b)
 
 
 def _permute_axes(
@@ -264,16 +264,33 @@ def check_pairwise_commuting(c: Circuit):
 # text format
 
 
+def text_lines(text: str):
+    """``(line number, line)`` of each line left non-blank once its ``#`` comment goes."""
+    for no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if line:
+            yield no, line
+
+
+def parse_angle(tok: str, no: int) -> float:
+    """The finite float ``tok``; ParseError on line ``no`` names it otherwise."""
+    try:
+        theta = float(tok)
+    except ValueError:
+        raise ParseError(no, f"bad angle {tok!r}") from None
+    if not math.isfinite(theta):
+        raise ParseError(no, f"angle {tok!r} is not finite")
+    return theta
+
+
 def parse_circuit(text: str) -> Circuit:
-    """Parse the line-oriented circuit format (see README for the grammar)."""
-    lines = text.splitlines()
-    header = None
-    header_no = 0
-    for no, raw in enumerate(lines, start=1):
-        stripped = _strip_comment(raw)
-        if stripped:
-            header, header_no = stripped, no
-            break
+    """Parse the line-oriented circuit format (see README for the grammar).
+
+    Each gate is checked once, by :meth:`Circuit._check_gate`, and a failure
+    becomes a ParseError on its line.
+    """
+    lines = text_lines(text)
+    header_no, header = next(lines, (1, None))
     if header is None:
         raise ParseError(1, "missing 'circuit' header")
     toks = header.split()
@@ -294,15 +311,10 @@ def parse_circuit(text: str) -> Circuit:
     if n < 1 or d < 2:
         raise ParseError(header_no, "need n >= 1 and d >= 2")
 
-    gates: list[Gate] = []
+    c = Circuit(n, d)
     layer_sizes: list[int] | None = None
     in_layer = 0
-    for no, raw in enumerate(lines, start=1):
-        if no <= header_no:
-            continue
-        line = _strip_comment(raw)
-        if not line:
-            continue
+    for no, line in lines:
         if line == "---":
             if layer_sizes is None:
                 layer_sizes = []
@@ -311,65 +323,42 @@ def parse_circuit(text: str) -> Circuit:
             continue
         g = _parse_gate_line(line, no, n, d)
         try:
-            Circuit(n, d, [g])
-        except NotHermitian:
-            raise ParseError(no, "exponentiated Pauli must be Hermitian") from None
-        except ValueError as exc:
+            c._check_gate(g)
+        except (NotHermitian, ValueError) as exc:
             raise ParseError(no, str(exc)) from None
-        gates.append(g)
+        c.gates.append(g)
         in_layer += 1
     if layer_sizes is not None:
         layer_sizes.append(in_layer)
-    return Circuit(n, d, gates, layer_sizes)
-
-
-def _strip_comment(raw: str) -> str:
-    pos = raw.find("#")
-    if pos >= 0:
-        raw = raw[:pos]
-    return raw.strip()
+        c.layer_sizes = layer_sizes
+    return c
 
 
 def _parse_gate_line(line: str, no: int, n: int, d: int) -> Gate:
+    """The gate a line names; only its tokens are checked here."""
     toks = line.split()
     op = toks[0].lower()
     if op in NAMED_ARITY:
-        if d != 2:
-            raise ParseError(no, f"gate {op!r} undefined for d={d}")
         arity = NAMED_ARITY[op]
         if len(toks) != 1 + arity:
             raise ParseError(no, f"{op} expects {arity} qubit index(es)")
-        qubits = tuple(_parse_index(t, no, n) for t in toks[1:])
-        if len(set(qubits)) != len(qubits):
-            raise ParseError(no, "repeated qubit index")
-        return NamedGate(op, qubits)
+        return NamedGate(op, tuple(_parse_index(t, no, n) for t in toks[1:]))
     if op == "exppauli":
-        if d != 2:
-            raise ParseError(no, f"exppauli undefined for d={d}")
         if len(toks) != 3:
             raise ParseError(no, "exppauli expects '<theta> <pauli string>'")
-        try:
-            theta = float(toks[1])
-        except ValueError:
-            raise ParseError(no, f"bad angle {toks[1]!r}") from None
-        if not math.isfinite(theta):
-            raise ParseError(no, f"angle {toks[1]!r} is not finite")
-        p = parse_pauli(toks[2], n=n, line_no=no)
-        if not p.is_hermitian():
-            raise ParseError(no, f"Pauli string {toks[2]!r} is not Hermitian")
-        return PauliExpGate(theta, p)
+        return PauliExpGate(parse_angle(toks[1], no), parse_pauli(toks[2], n=n, line_no=no))
     if op == "dense":
         if len(toks) < 2:
             raise ParseError(no, "dense expects '<k> <q1..qk> <floats>'")
         try:
             k = int(toks[1])
         except ValueError:
-            raise ParseError(no, f"bad locality {toks[1]!r}") from None
+            k = -1
+        if k < 0:
+            raise ParseError(no, f"bad locality {toks[1]!r}")
         if len(toks) < 2 + k:
             raise ParseError(no, "missing qudit indices for dense gate")
         qudits = tuple(_parse_index(t, no, n) for t in toks[2 : 2 + k])
-        if len(set(qudits)) != k:
-            raise ParseError(no, "repeated qudit index")
         dim = d**k
         vals = toks[2 + k :]
         if len(vals) != 2 * dim * dim:
@@ -384,8 +373,6 @@ def _parse_gate_line(line: str, no: int, n: int, d: int) -> Gate:
         except ValueError as exc:
             raise ParseError(no, str(exc)) from None
     if op == "ctrl":
-        if d != 2:
-            raise ParseError(no, f"ctrl undefined for d={d}")
         if len(toks) < 3:
             raise ParseError(no, "ctrl expects '<q> <gate-line>'")
         control = _parse_index(toks[1], no, n)

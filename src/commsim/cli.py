@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import secrets
 import sys
@@ -23,9 +22,10 @@ from .circuit import (
     NamedGate,
     PauliExpGate,
     _restrict_pauli,
-    _strip_comment,
+    parse_angle,
     parse_circuit,
     serialize_circuit,
+    text_lines,
 )
 from .errors import CommsimError, ParseError
 from .estimator import EstimateResult, EstimatorConfig
@@ -87,14 +87,6 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _lines(path: str):
-    """``(line number, text)`` of each line left non-blank once its ``#`` comment goes."""
-    for no, raw in enumerate(_read(path).splitlines(), start=1):
-        line = _strip_comment(raw)
-        if line:
-            yield no, line
-
-
 def _load_circuit(path: str) -> Circuit:
     return parse_circuit(_read(path))
 
@@ -103,7 +95,7 @@ def _load_paulis(path: str) -> list[PauliOperator]:
     """A ``.pauli`` file: optional ``paulis <n>`` header, one operator per line."""
     n = None
     ops: list[PauliOperator] = []
-    for no, line in _lines(path):
+    for no, line in text_lines(_read(path)):
         toks = line.split()
         if toks[0] == "paulis":
             if ops or n is not None:
@@ -115,8 +107,6 @@ def _load_paulis(path: str) -> list[PauliOperator]:
         ops.append(parse_pauli(line, n, line_no=no))
     if not ops:
         raise ParseError(1, "no Pauli operators in file")
-    if n is not None:
-        ops = [PauliOperator(n, p.t, p.a, p.b) for p in ops]
     width = max(p.n for p in ops)
     return [PauliOperator(width, p.t, p.a, p.b) for p in ops]
 
@@ -135,7 +125,7 @@ def _parse_obs(spec: str, n: int, d: int) -> Observable:
             if not 0 <= q < n:
                 raise ValueError(f"observable qubit {q + 1} outside the register")
         rows = []
-        for no, line in _lines(path):
+        for no, line in text_lines(_read(path)):
             try:
                 vals = [float(t) for t in line.split()]
             except ValueError as exc:
@@ -204,19 +194,17 @@ def _load_extras(path: str, n: int) -> list[tuple[int, ExtraGate]]:
     slot past the last member puts the extra at the end.
     """
     out = []
-    for no, line in _lines(path):
+    for no, line in text_lines(_read(path)):
         toks = line.split()
         if len(toks) != 3:
             raise ParseError(no, "extras line is '<slot> <theta> <pauli>'")
         try:
             slot = int(toks[0])
-            theta = float(toks[1])
         except ValueError as exc:
             raise ParseError(no, str(exc)) from None
         if slot < 0:
             raise ParseError(no, f"slot {slot} is negative")
-        if not math.isfinite(theta):
-            raise ParseError(no, f"angle {toks[1]!r} is not finite")
+        theta = parse_angle(toks[1], no)
         out.append((slot, ExtraGate(theta, parse_pauli(toks[2], n, line_no=no))))
     return out
 

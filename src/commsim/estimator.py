@@ -72,8 +72,8 @@ class EstimatorConfig:
             raise ValueError("epsilon must be in (0, 1]")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
-        if self.k_override is not None and self.k_override < 1:
-            raise ValueError("sample count must be at least 1")
+        if self.k_override is not None and not 1 <= self.k_override <= _MAX_SAMPLES:
+            raise ValueError(f"sample count must be in 1..{_MAX_SAMPLES}, got {self.k_override}")
 
     @property
     def k(self) -> int:

@@ -81,20 +81,13 @@ def compile_commuting_pauli(
 
     Returns (c, diag, obs_map): the Clifford c, the diagonal factors
     DiagonalZExp(theta_j, c^dag P_j c), and obs_map(A) = c^dag A c.
-    Non-commuting members raise NotCommuting from diagonalize_commuting_set.
+    diagonalize_commuting_set checks the members: SizeMismatch, NotHermitian
+    or NotCommuting for the first member or pair that fails.
     """
     if gates:
-        n = gates[0][1].n
+        c, qs = diagonalize_commuting_set([p for _, p in gates])
     elif n is None:
         raise ValueError("need n for an empty gate list")
-    paulis = [p for _, p in gates]
-    for i, p in enumerate(paulis):
-        if p.n != n:
-            raise SizeMismatch(f"gate {i} acts on {p.n} qubits, expected {n}")
-        if not p.is_hermitian():
-            raise NotHermitian(f"gate {i} exponentiates a non-Hermitian Pauli")
-    if paulis:
-        c, qs = diagonalize_commuting_set(paulis)
     else:
         c = CliffordCircuit(n, ())
         qs = []

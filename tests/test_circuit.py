@@ -13,6 +13,7 @@ from conftest import (
 )
 
 from commsim.circuit import (
+    NAMED_ARITY,
     Circuit,
     ControlledGate,
     DenseGate,
@@ -27,7 +28,7 @@ from commsim.circuit import (
 )
 from commsim.errors import NotCommuting, ParseError
 from commsim.oracle import circuit_unitary
-from commsim.pauli import parse_pauli
+from commsim.pauli import PauliOperator, parse_pauli
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 CNOT = np.array(
@@ -59,6 +60,15 @@ class TestGateMatrices:
         g = PauliExpGate(0.5, parse_pauli("IXI"))
         assert g.support == (1,)
         assert gate_matrix(g, 2).shape == (2, 2)
+
+    def test_identity_pauli_exp_is_a_phase(self):
+        # its support is empty, so its matrix is 1x1 (it used to be 2x2)
+        theta = 0.3
+        g = PauliExpGate(theta, parse_pauli("-II"))
+        assert gate_matrix(g, 2).shape == (1, 1)
+        u = circuit_unitary(Circuit(2, 2, [g, ControlledGate(1, g)]))
+        phase = np.exp(-1j * theta)
+        assert np.allclose(u, phase * np.diag([1, phase, 1, phase]))
 
     def test_controlled(self):
         g = ControlledGate(1, NamedGate("x", (0,)))
@@ -148,6 +158,29 @@ class TestCommutation:
 
     def test_commuting_pauli_exp_circuit_passes(self, rng):
         check_pairwise_commuting(commuting_pauli_exp_circuit(5, 6, rng))
+
+
+def _random_gate(n: int, d: int, free: list[int], rng: np.random.Generator):
+    """A gate of any kind on the qudits in ``free``, qudits in random order."""
+    kinds = ["dense"] if d != 2 else ["named", "dense", "exppauli"] + ["ctrl"] * (len(free) > 1)
+    kind = kinds[rng.integers(len(kinds))]
+
+    def pick(k):
+        return tuple(int(q) for q in rng.choice(free, size=k, replace=False))
+
+    if kind == "named":
+        name = str(rng.choice([g for g, ar in NAMED_ARITY.items() if ar <= len(free)]))
+        return NamedGate(name, pick(NAMED_ARITY[name]))
+    if kind == "dense":
+        k = int(rng.integers(min(2, len(free)) + 1))
+        return DenseGate(pick(k), random_unitary(d**k, rng))
+    if kind == "exppauli":
+        mask = sum(1 << q for q in free)
+        a, b = (int(rng.integers(1 << n)) & mask for _ in range(2))
+        t = (a & b).bit_count() % 2 + 2 * int(rng.integers(2))
+        return PauliExpGate(float(rng.uniform(-4.0, 4.0)), PauliOperator(n, t, a, b))
+    control = int(rng.choice(free))
+    return ControlledGate(control, _random_gate(n, d, [q for q in free if q != control], rng))
 
 
 class TestTextFormat:
@@ -299,6 +332,39 @@ class TestTextFormat:
         for _ in range(5):
             c = commuting_pauli_exp_circuit(4, 5, rng)
             assert circuits_equal(c, parse_circuit(serialize_circuit(c)))
+        # every gate kind, layers, and a dim 3 register of dense gates
+        ops, inner_ops = set(), set()
+        for i in range(40):
+            n, d = (3, 3) if i % 4 == 3 else (4, 2)
+            gates = [_random_gate(n, d, list(range(n)), rng) for _ in range(rng.integers(1, 8))]
+            cuts = sorted(int(x) for x in rng.integers(0, len(gates) + 1, size=rng.integers(3)))
+            sizes = [b - a for a, b in zip([0, *cuts], [*cuts, len(gates)])]
+            c = Circuit(n, d, gates, sizes if cuts else None)
+            text = serialize_circuit(c)
+            assert serialize_circuit(parse_circuit(text)) == text
+            assert circuits_equal(c, parse_circuit(text))
+            for line in text.splitlines()[1:]:
+                ops.add(line.split()[0])
+                if line.startswith("ctrl"):
+                    inner_ops.add(line.split()[2])
+        assert {"h", "cnot", "cz", "dense", "exppauli", "ctrl", "---"} <= ops
+        assert {"dense", "exppauli", "ctrl"} <= inner_ops and inner_ops & set(NAMED_ARITY)
+
+    def test_dense_locality(self):
+        # a global phase is a 0-local dense gate; a negative locality is refused
+        text = "circuit 1\ndense 0 0.0 1.0\n"
+        assert serialize_circuit(parse_circuit(text)) == text
+        with pytest.raises(ParseError, match="^line 2: bad locality '-1'$"):
+            parse_circuit("circuit 2\ndense -1 1 0\n")
+
+    def test_each_gate_checked_once(self, monkeypatch):
+        calls = []
+        check = Circuit._check_gate
+        monkeypatch.setattr(Circuit, "_check_gate", lambda c, g: calls.append(g) or check(c, g))
+        text = "circuit 3\nh 1\ncnot 2 1\nexppauli 0.3 ZZI\n---\ndense 1 3 0 0 1 0 1 0 0 0\ncz 2 3\n"
+        c = parse_circuit(text)
+        assert calls == c.gates and len(calls) == 5
+        assert c.layer_sizes == [3, 2]
 
     def test_exppauli_theta_precision(self):
         c = parse_circuit("circuit 1\nexppauli 0.1234567890123456 Z\n")

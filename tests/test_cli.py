@@ -332,6 +332,18 @@ class TestErrorsAndDeterminism:
         cap = capsys.readouterr()
         assert not cap.out and "sample count" in cap.err and "seed: 1" not in cap.err
 
+    @pytest.mark.parametrize("command", ["paulisim", "depth-overlap"])
+    @pytest.mark.parametrize("shots", [str(2**63), str(2**70)])
+    def test_shots_beyond_int64_is_usage_error(self, qc, capsys, command, shots):
+        # paulisim escaped with OverflowError, depth-overlap failed inside numpy
+        path = qc("c.qc", XROT)
+        extra = ["--qubit", "1"] if command == "paulisim" else []
+        with pytest.raises(SystemExit) as exc:
+            dispatch([command, path, *extra, "--seed", "1", "--shots", shots])
+        assert exc.value.code == 2
+        cap = capsys.readouterr()
+        assert not cap.out and "sample count" in cap.err and "seed: 1" not in cap.err
+
     @pytest.mark.parametrize("extras", [[], ["--extras"]])
     def test_paulisim_rejects_wide_register(self, qc, capsys, extras):
         path = qc("c.qc", "circuit 65\nexppauli 0.4 " + "ZZ" + "I" * 63 + "\n")
@@ -375,6 +387,15 @@ class TestErrorsAndDeterminism:
             capsys, "paulisim", path, "--qubit", "1", "--seed", "1", "--extras", extras
         )
         assert code == 1 and not out and "not finite" in err
+
+    def test_bad_extra_angle_named(self, qc, capsys):
+        # the extras reader and the .qc reader share one angle reader
+        path = qc("c.qc", BELLISH)
+        extras = qc("e.txt", "\n1 x XI\n")
+        code, out, err = run_cli(
+            capsys, "paulisim", path, "--qubit", "1", "--seed", "1", "--extras", extras
+        )
+        assert code == 1 and not out and "line 2: bad angle 'x'" in err
 
     def test_negative_extras_slot_rejected(self, qc, capsys):
         # slot -2 used to be read as slot 0
