@@ -21,13 +21,13 @@ from commsim import (
     simulate_commuting_pauli,
     simulate_noncommuting_pauli,
 )
-from commsim.stabilizer import CliffordTableau, random_clifford_circuit
+from commsim.stabilizer import conjugate_pauli, random_clifford_circuit
 
 
 def random_commuting_family(n, m, rng):
-    tab = CliffordTableau.from_circuit(random_clifford_circuit(n, 3 * n, rng))
+    c = random_clifford_circuit(n, 3 * n, rng)
     return [
-        tab.conjugate(PauliOperator(n, 2 * int(rng.integers(2)), 0, int(rng.integers(1, 1 << n))))
+        conjugate_pauli(c, PauliOperator(n, 2 * int(rng.integers(2)), 0, int(rng.integers(1, 1 << n))))
         for _ in range(m)
     ]
 

@@ -70,7 +70,6 @@ from .paulisim import (
 )
 from .stabilizer import (
     CliffordCircuit,
-    CliffordTableau,
     StabilizerState,
     complete_generators,
     conjugate_pauli,

@@ -18,6 +18,9 @@ from .pauli import PauliOperator, format_pauli, parse_pauli
 
 UNITARY_TOL = 1e-10
 COMMUTE_TOL = 1e-10
+# file headers above these bounds are refused before anything is allocated
+MAX_QUDITS = 1 << 16
+MAX_DIM = 16
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -34,10 +37,16 @@ NAMED_ARITY = {"h": 1, "s": 1, "x": 1, "z": 1, "cnot": 2, "cz": 2}
 
 @dataclass(frozen=True)
 class NamedGate:
-    """One of h/s/x/z/cnot/cz; ``qubits`` in semantic order (control first)."""
+    """One of h/s/x/z/cnot/cz on distinct ``qubits``, control first; checked here."""
 
     name: str
     qubits: tuple[int, ...]
+
+    def __post_init__(self):
+        if NAMED_ARITY.get(self.name) != len(self.qubits):
+            raise ValueError(f"no named gate {self.name!r} on {len(self.qubits)} qubit(s)")
+        if len(set(self.qubits)) != len(self.qubits):
+            raise ValueError("gate support indices must be distinct")
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -138,20 +147,14 @@ class Circuit:
             raise ValueError("layer sizes do not sum to the gate count")
 
     def _check_gate(self, g: Gate):
-        if isinstance(g, DenseGate):
-            # the gate checked its own qudits; only the register and d are new
-            sup = g.qudits
-            if sup and max(sup) >= self.n:
-                raise ValueError(f"gate support {sup} outside register of size {self.n}")
+        sup = g.support  # distinct: every gate type guarantees it
+        if sup and (min(sup) < 0 or max(sup) >= self.n):
+            raise ValueError(f"gate support {sup} outside register of size {self.n}")
+        if isinstance(g, DenseGate):  # the gate checked the rest of itself
             dim = self.d ** len(sup)
             if g.matrix.shape != (dim, dim):
                 raise ValueError("dense matrix shape does not match support")
             return
-        sup = g.support
-        if len(set(sup)) != len(sup):
-            raise ValueError("gate support indices must be distinct")
-        if sup and (min(sup) < 0 or max(sup) >= self.n):
-            raise ValueError(f"gate support {sup} outside register of size {self.n}")
         if self.d != 2 and isinstance(g, (NamedGate, PauliExpGate, ControlledGate)):
             raise ValueError("named, Pauli-exponential and controlled gates need d = 2")
         if isinstance(g, PauliExpGate):
@@ -286,8 +289,8 @@ def parse_angle(tok: str, no: int) -> float:
 def parse_circuit(text: str) -> Circuit:
     """Parse the line-oriented circuit format (see README for the grammar).
 
-    Each gate is checked once, by :meth:`Circuit._check_gate`, and a failure
-    becomes a ParseError on its line.
+    Each gate is checked once, by its own type and :meth:`Circuit._check_gate`,
+    and a failure becomes a ParseError on its line.
     """
     lines = text_lines(text)
     header_no, header = next(lines, (1, None))
@@ -308,8 +311,8 @@ def parse_circuit(text: str) -> Circuit:
             d = int(toks[3])
         except ValueError:
             raise ParseError(header_no, f"bad dimension {toks[3]!r}") from None
-    if n < 1 or d < 2:
-        raise ParseError(header_no, "need n >= 1 and d >= 2")
+    if not (1 <= n <= MAX_QUDITS and 2 <= d <= MAX_DIM):
+        raise ParseError(header_no, f"need 1 <= n <= {MAX_QUDITS} and 2 <= d <= {MAX_DIM}")
 
     c = Circuit(n, d)
     layer_sizes: list[int] | None = None
@@ -321,8 +324,8 @@ def parse_circuit(text: str) -> Circuit:
             layer_sizes.append(in_layer)
             in_layer = 0
             continue
-        g = _parse_gate_line(line, no, n, d)
         try:
+            g = _parse_gate_line(line, no, n, d)
             c._check_gate(g)
         except (NotHermitian, ValueError) as exc:
             raise ParseError(no, str(exc)) from None
@@ -339,9 +342,6 @@ def _parse_gate_line(line: str, no: int, n: int, d: int) -> Gate:
     toks = line.split()
     op = toks[0].lower()
     if op in NAMED_ARITY:
-        arity = NAMED_ARITY[op]
-        if len(toks) != 1 + arity:
-            raise ParseError(no, f"{op} expects {arity} qubit index(es)")
         return NamedGate(op, tuple(_parse_index(t, no, n) for t in toks[1:]))
     if op == "exppauli":
         if len(toks) != 3:
@@ -367,11 +367,7 @@ def _parse_gate_line(line: str, no: int, n: int, d: int) -> Gate:
             flat = np.array([float(v) for v in vals], dtype=float)
         except ValueError:
             raise ParseError(no, "bad float literal in dense gate") from None
-        m = (flat[0::2] + 1j * flat[1::2]).reshape(dim, dim)
-        try:
-            return DenseGate(qudits, m)
-        except ValueError as exc:
-            raise ParseError(no, str(exc)) from None
+        return DenseGate(qudits, (flat[0::2] + 1j * flat[1::2]).reshape(dim, dim))
     if op == "ctrl":
         if len(toks) < 3:
             raise ParseError(no, "ctrl expects '<q> <gate-line>'")

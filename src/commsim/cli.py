@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .circuit import (
+    MAX_QUDITS,
     Circuit,
     NamedGate,
     PauliExpGate,
@@ -100,8 +101,8 @@ def _load_paulis(path: str) -> list[PauliOperator]:
         if toks[0] == "paulis":
             if ops or n is not None:
                 raise ParseError(no, "header must come first")
-            if len(toks) != 2 or not toks[1].isdigit():
-                raise ParseError(no, "header is 'paulis <n>'")
+            if len(toks) != 2 or not toks[1].isdecimal() or int(toks[1]) > MAX_QUDITS:
+                raise ParseError(no, f"header is 'paulis <n>' with n <= {MAX_QUDITS}")
             n = int(toks[1])
             continue
         ops.append(parse_pauli(line, n, line_no=no))

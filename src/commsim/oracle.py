@@ -41,9 +41,9 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.amplitudes.shape != (self.d**self.n,):
-            raise DimensionMismatch("amplitude array has wrong length")
         a = self.amplitudes
+        if _exceeds(self.n, self.d, a.size) or a.shape != (self.d**self.n,):
+            raise DimensionMismatch("amplitude array has wrong length")
         norm = np.sqrt(np.vdot(a, a).real)
         if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"state norm {norm} deviates from 1")
@@ -71,8 +71,13 @@ class Observable:
             raise ValueError("observable is not Hermitian")
 
 
+def _exceeds(n: int, d: int, cap: int) -> bool:
+    """``d**n > cap``, settled by n alone when it is that large (d >= 2)."""
+    return (d >= 2 and n >= cap.bit_length()) or d**n > cap
+
+
 def _check_capacity(n: int, d: int, cap: int):
-    if d**n > cap:
+    if _exceeds(n, d, cap):
         raise CapacityExceeded(f"{d}^{n} amplitudes exceed the cap of {cap}")
 
 
@@ -218,9 +223,9 @@ def matrix_element(c: Circuit, x, y, cap: int = DEFAULT_CAP) -> complex:
 
 def circuit_unitary(c: Circuit, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Full dense unitary; only sensible for desk-scale n."""
-    dim = c.d**c.n
-    if dim * dim > cap:
+    if _exceeds(2 * c.n, c.d, cap):  # dim * dim entries
         raise CapacityExceeded("unitary would exceed the amplitude cap")
+    dim = c.d**c.n
     # rows carry the qudit axes, columns ride along as a trailing axis
     u = np.eye(dim, dtype=complex).reshape((c.d,) * c.n + (dim,))
     for g in c.gates:

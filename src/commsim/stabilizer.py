@@ -5,8 +5,7 @@ Clifford circuits are gate lists over {h, s, x, z, cnot, cz}.  One rule,
 bit-slices the rows that have a bit on a qubit the gates touch into X/Z
 columns of those qubits and two phase bit-planes, applies the
 Aaronson-Gottesman updates column-wise, and transposes back once.
-:func:`conjugate_pauli` uses it for one Pauli,
-:class:`CliffordTableau` for the images of all X_k and Z_k, and
+:func:`conjugate_pauli` uses it for one Pauli, and
 :func:`diagonalize_commuting_set` and :func:`synthesize_prep` for their whole
 row sets.
 
@@ -74,9 +73,8 @@ class CliffordCircuit:
 
     def __post_init__(self):
         for name, qs in self.gates:
-            if name not in NAMED_ARITY or len(qs) != NAMED_ARITY[name]:
-                raise ValueError(f"bad Clifford gate {(name, qs)!r}")
-            if any(not 0 <= q < self.n for q in qs) or len(set(qs)) != len(qs):
+            NamedGate(name, qs)  # the gate checks its name, arity and distinct qubits
+            if any(not 0 <= q < self.n for q in qs):
                 raise ValueError(f"bad qubit indices in {(name, qs)!r}")
 
     @classmethod
@@ -204,7 +202,10 @@ def _conj_rows(rows: list[PauliOperator], gates) -> list[PauliOperator]:
 
 
 class CliffordTableau:
-    """Images of all X_k and Z_k under a composed Clifford circuit."""
+    """Images of all X_k and Z_k under a Clifford circuit; no package code uses it.
+
+    Only the benchmark's trace hook wraps ``from_circuit``; ROADMAP item 1 deletes both.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -217,22 +218,6 @@ class CliffordTableau:
         images = _conj_rows(tab.x_images + tab.z_images, c.gates)
         tab.x_images, tab.z_images = images[: c.n], images[c.n :]
         return tab
-
-    def conjugate(self, p: PauliOperator) -> PauliOperator:
-        """Image ``U P U^dag`` where U is the composed circuit."""
-        if p.n != self.n:
-            raise SizeMismatch("Pauli width differs from tableau width")
-        out = PauliOperator(self.n, p.t, 0, 0)
-        a, b = p.a, p.b
-        while a:
-            k = gf2.lowest_bit(a)
-            out = multiply(out, self.x_images[k])
-            a &= a - 1
-        while b:
-            k = gf2.lowest_bit(b)
-            out = multiply(out, self.z_images[k])
-            b &= b - 1
-        return out
 
 
 def conjugate_pauli(c: CliffordCircuit, p: PauliOperator) -> PauliOperator:

@@ -7,7 +7,7 @@ import pytest
 
 from commsim.circuit import Circuit, DenseGate, PauliExpGate
 from commsim.pauli import PauliOperator, commutes
-from commsim.stabilizer import CliffordTableau, random_clifford_circuit
+from commsim.stabilizer import conjugate_pauli, random_clifford_circuit
 
 Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -73,7 +73,7 @@ def random_commuting_paulis(
     n: int, m: int, rng: np.random.Generator, z_weight_cap: int | None = None
 ) -> list[PauliOperator]:
     """m pairwise-commuting Hermitian Paulis: conjugated signed Z-types."""
-    tab = CliffordTableau.from_circuit(random_clifford_circuit(n, 3 * n + 2, rng))
+    c = random_clifford_circuit(n, 3 * n + 2, rng)
     out = []
     for _ in range(m):
         while True:
@@ -81,7 +81,7 @@ def random_commuting_paulis(
             if z_weight_cap is None or b.bit_count() <= z_weight_cap:
                 break
         t = 2 * int(rng.integers(2))
-        out.append(tab.conjugate(PauliOperator(n, t, 0, b)))
+        out.append(conjugate_pauli(c, PauliOperator(n, t, 0, b)))
     return out
 
 

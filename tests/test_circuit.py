@@ -13,6 +13,8 @@ from conftest import (
 )
 
 from commsim.circuit import (
+    MAX_DIM,
+    MAX_QUDITS,
     NAMED_ARITY,
     Circuit,
     ControlledGate,
@@ -103,6 +105,24 @@ class TestGateMatrices:
         # as the parser does, at construction rather than at the first run
         with pytest.raises(ValueError, match="^control qubit overlaps inner gate support$"):
             Circuit(3, 2, [gate])
+
+    @pytest.mark.parametrize(
+        "name,qubits,match",
+        [
+            ("foo", (0,), "no named gate 'foo' on 1 qubit"),
+            ("cnot", (0,), "no named gate 'cnot' on 1 qubit"),
+            ("h", (0, 1), "no named gate 'h' on 2 qubit"),
+            ("cnot", (1, 1), "distinct"),
+        ],
+    )
+    def test_named_gate_checked_by_gate(self, name, qubits, match):
+        with pytest.raises(ValueError, match=match):
+            NamedGate(name, qubits)
+
+    def test_named_gate_leaves_the_register_to_the_circuit(self):
+        g = NamedGate("h", (-1,))  # signs and range are the register's to check
+        with pytest.raises(ValueError, match="outside register"):
+            Circuit(2, 2, [g])
 
     def test_dense_unitarity_enforced(self):
         with pytest.raises(ValueError):
@@ -231,6 +251,11 @@ class TestTextFormat:
             ("circuit 2 dim x\n", 1),
             ("circuit 0\n", 1),
             ("circuit 2 dim 1\n", 1),
+            # header bounds, refused before anything is allocated
+            (f"circuit {MAX_QUDITS + 1}\n", 1),
+            ("circuit 99999999999999999999\n", 1),
+            (f"circuit 2 dim {MAX_DIM + 1}\n", 1),
+            ("circuit 2 dim 99999999999999999999\n", 1),
             # arity, and a bad or out-of-range index
             ("circuit 2\nh 1 2\n", 2),
             ("circuit 2\ncnot 1\n", 2),

@@ -1,14 +1,23 @@
 """Command-line front end: JSON output, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import random_commuting_paulis
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from commsim.circuit import parse_circuit
+from commsim.circuit import MAX_DIM, MAX_QUDITS, parse_circuit
 from commsim.cli import _build_parser, dispatch
-from commsim.pauli import parse_pauli
+from commsim.estimator import EstimatorConfig
+from commsim.pauli import format_pauli, parse_pauli
+from commsim.paulisim import ExtraGate, MemberGate, simulate_noncommuting_pauli
 
 
 @pytest.fixture
@@ -470,3 +479,139 @@ class TestFlagsHaveReaders:
         assert exc.value.code == 2
         cap = capsys.readouterr()
         assert not cap.out and flag in cap.err
+
+
+# the arguments after the circuit file that make each .qc command run
+QC_COMMANDS = {
+    "oracle": ["--obs", "Z1"],
+    "sim2local": ["--obs", "Z1"],
+    "paulisim": ["--qubit", "1", "--seed", "1", "--shots", "8"],
+    "hadamard-test": [],
+    "alt-hadamard-test": [],
+    "depth-overlap": ["--seed", "1", "--shots", "8"],
+}
+
+
+def _argv(command: str, path: str) -> list[str]:
+    if command == "merge-layers":
+        return [command, path, path]
+    if command == "diagonalize":
+        return [command, path]
+    return [command, path, *QC_COMMANDS[command]]
+
+
+def _dispatch_captured(argv) -> tuple[int, str]:
+    """Exit code and stdout of one in-process run; a usage error exits too."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = dispatch(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+class TestHeaderBounds:
+    @pytest.mark.parametrize("command", [*QC_COMMANDS, "merge-layers"])
+    @pytest.mark.parametrize(
+        "header",
+        [
+            f"circuit {10**20}",
+            f"circuit {MAX_QUDITS + 1}",
+            f"circuit 2 dim {10**20}",
+            f"circuit 2 dim {MAX_DIM + 1}",
+        ],
+    )
+    def test_circuit_header_over_bound(self, qc, capsys, command, header):
+        code, out, err = run_cli(capsys, *_argv(command, qc("c.qc", header + "\n")))
+        assert (code, out) == (1, "")
+        assert "line 1:" in err
+
+    @pytest.mark.parametrize("n", [10**20, MAX_QUDITS + 1])
+    def test_pauli_header_over_bound(self, qc, capsys, n):
+        code, out, err = run_cli(capsys, "diagonalize", qc("s.pauli", f"paulis {n}\nZ\n"))
+        assert (code, out) == (1, "")
+        assert "line 1:" in err
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([0, 1, 2, 3, MAX_QUDITS + 1, 10**20, -1, "x"]),
+    d=st.sampled_from([None, 1, 2, 3, MAX_DIM + 1, 10**20]),
+    command=st.sampled_from([*QC_COMMANDS, "merge-layers", "diagonalize"]),
+)
+def test_header_exit_contract(n, d, command):
+    """Any header ends in one JSON line and exit 0, or exit 1 or 2 and no stdout."""
+    if command == "diagonalize":  # a .pauli header has no dimension
+        text = f"paulis {n}\nZ\n"
+    else:
+        text = f"circuit {n}" + ("" if d is None else f" dim {d}") + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.txt"
+        path.write_text(text)
+        code, out = _dispatch_captured(_argv(command, str(path)))
+    if code == 0:
+        (line,) = out.splitlines()
+        assert isinstance(json.loads(line), dict)
+    else:
+        assert code in (1, 2) and out == ""
+
+
+_LETTERS = st.text("IXYZ", min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 4),
+    members=st.integers(0, 5),
+    family_seed=st.integers(0, 2**32 - 1),
+    extras=st.lists(
+        st.tuples(st.integers(0, 7), st.floats(-3.0, 3.0), st.sampled_from("+-"), _LETTERS),
+        max_size=3,
+    ),
+    qubit=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    shots=st.integers(1, 64),
+)
+def test_paulisim_extras_match_library(n, members, family_seed, extras, qubit, seed, shots):
+    """``paulisim --extras`` runs the program the README describes, bit for bit.
+
+    Extras go in slot order, file order among equal slots, and an extra with
+    slot s follows the first min(s, m) members: slots past the end go last.
+    """
+    rng = np.random.default_rng(family_seed)
+    thetas = rng.uniform(-3.0, 3.0, size=members)
+    paulis = random_commuting_paulis(n, members, rng)
+    member_gates = [MemberGate(float(t), p) for t, p in zip(thetas, paulis)]
+    extra_gates = [
+        (slot, ExtraGate(theta, parse_pauli(sign + letters[:n].ljust(n, "I"))))
+        for slot, theta, sign, letters in extras
+    ]
+    program = []
+    by_slot = sorted(extra_gates, key=lambda e: e[0])  # stable: file order among ties
+    for j in range(members + 1):
+        program += [e for slot, e in by_slot if min(slot, members) == j]
+        program += member_gates[j : j + 1]
+    qubit = min(qubit, n)
+    want = simulate_noncommuting_pauli(
+        program, "0" * n, qubit - 1, EstimatorConfig(k_override=shots),
+        np.random.default_rng(seed), n=n,
+    )
+
+    qc_text = f"circuit {n}\n" + "".join(
+        f"exppauli {g.theta!r} {format_pauli(g.pauli)}\n" for g in member_gates
+    )
+    extras_text = "".join(
+        f"{slot} {e.theta!r} {format_pauli(e.pauli)}\n" for slot, e in extra_gates
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        cpath, epath = Path(tmp) / "c.qc", Path(tmp) / "e.ex"
+        cpath.write_text(qc_text)
+        epath.write_text(extras_text)
+        code, out = _dispatch_captured([
+            "paulisim", str(cpath), "--qubit", str(qubit), "--extras", str(epath),
+            "--seed", str(seed), "--shots", str(shots),
+        ])
+    assert code == 0
+    got = jline(out)
+    assert (got["raw_value"], got["K"]) == (want.raw_value, want.k)

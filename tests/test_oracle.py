@@ -198,6 +198,16 @@ class TestGateApplication:
             basis_state(5, 2, 0, cap=16)
         with pytest.raises(CapacityExceeded):
             apply_gate(basis_state(3, 2, 0), NamedGate("h", (0,)), cap=4)
+        assert basis_state(4, 2, 0, cap=16).amplitudes.size == 16  # the cap itself fits
+
+    def test_huge_register_refused_without_building_its_size(self):
+        # d**n for n = 10**30 would never finish; n alone settles the answer
+        with pytest.raises(CapacityExceeded, match="exceed the cap"):
+            basis_state(10**30, 2, "0")
+        with pytest.raises(CapacityExceeded, match="unitary would exceed"):
+            circuit_unitary(Circuit(10**30, 2))
+        with pytest.raises(DimensionMismatch):
+            StateVector(10**30, 2, np.ones(1, dtype=complex))
 
 
 class TestDerivedQuantities:
@@ -283,3 +293,7 @@ class TestCircuitUnitary:
         c = Circuit(8, 2, [NamedGate("h", (0,))])
         with pytest.raises(CapacityExceeded):
             circuit_unitary(c, cap=1 << 10)
+        five = Circuit(5, 2, [NamedGate("h", (0,))])
+        assert circuit_unitary(five, cap=1 << 10).shape == (32, 32)  # 32 * 32 fits exactly
+        with pytest.raises(CapacityExceeded):
+            circuit_unitary(five, cap=(1 << 10) - 1)
