@@ -98,10 +98,14 @@ class DenseGate:
 
 @dataclass(frozen=True)
 class PauliExpGate:
-    """``e^{i theta P}`` for a Hermitian Pauli operator over the register."""
+    """``e^{i theta P}`` for a Pauli operator over the register, checked Hermitian here."""
 
     theta: float
     pauli: PauliOperator
+
+    def __post_init__(self):
+        if not self.pauli.is_hermitian():
+            raise NotHermitian("exponentiated Pauli must be Hermitian")
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -111,10 +115,14 @@ class PauliExpGate:
 
 @dataclass(frozen=True)
 class ControlledGate:
-    """Inner gate applied when the control qubit is |1>; d = 2 only."""
+    """Inner gate applied when ``control``, outside its support, is |1>; d = 2; checked here."""
 
     control: int
     inner: "Gate"
+
+    def __post_init__(self):
+        if self.control in self.inner.support:
+            raise ValueError("control qubit overlaps inner gate support")
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -157,14 +165,9 @@ class Circuit:
             return
         if self.d != 2 and isinstance(g, (NamedGate, PauliExpGate, ControlledGate)):
             raise ValueError("named, Pauli-exponential and controlled gates need d = 2")
-        if isinstance(g, PauliExpGate):
-            if g.pauli.n != self.n:
-                raise ValueError("Pauli width must equal the register size")
-            if not g.pauli.is_hermitian():
-                raise NotHermitian("exponentiated Pauli must be Hermitian")
+        if isinstance(g, PauliExpGate) and g.pauli.n != self.n:
+            raise ValueError("Pauli width must equal the register size")
         if isinstance(g, ControlledGate):
-            if g.control in g.inner.support:
-                raise ValueError("control qubit overlaps inner gate support")
             self._check_gate(g.inner)
 
 
@@ -188,8 +191,6 @@ def gate_matrix(g: Gate, d: int) -> np.ndarray:
         return math.cos(g.theta) * np.eye(dim) + 1j * math.sin(g.theta) * p
     if isinstance(g, ControlledGate):
         inner = gate_matrix(g.inner, d)
-        if g.control in g.inner.support:
-            raise ValueError("control qubit overlaps the inner gate support")
         block = _two_branch_block(np.eye(inner.shape[0]), inner)
         return _permute_axes(block, (g.control, *g.inner.support), g.support, d)
     raise TypeError(f"unknown gate {g!r}")

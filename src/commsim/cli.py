@@ -28,17 +28,12 @@ from .circuit import (
     serialize_circuit,
     text_lines,
 )
-from .errors import CommsimError, ParseError
+from .errors import CommsimError, NotHermitian, ParseError
 from .estimator import EstimateResult, EstimatorConfig
 from .local2 import ProductState, simulate_2local
 from .oracle import DEFAULT_CAP, DenseOracleExecutor, Observable, expectation, run_circuit
 from .pauli import PauliOperator, format_pauli, parse_pauli
-from .paulisim import (
-    ExtraGate,
-    MemberGate,
-    simulate_commuting_pauli,
-    simulate_noncommuting_pauli,
-)
+from .paulisim import ExtraGate, MemberGate, simulate_noncommuting_pauli
 from .stabilizer import CliffordCircuit, diagonalize_commuting_set
 from .transformers import (
     alternate_hadamard_test,
@@ -144,7 +139,7 @@ def _parse_obs(spec: str, n: int, d: int) -> Observable:
         return Observable(support, m)
     if d != 2:
         raise ValueError("named Pauli observables need d = 2; use a matrix file")
-    if spec[:1].upper() in _PAULI_LETTERS and spec[1:].isdigit():
+    if spec[:1].upper() in _PAULI_LETTERS and spec[1:].isdecimal():
         q = int(spec[1:]) - 1
         if not 0 <= q < n:
             raise ValueError(f"observable qubit {q + 1} outside the register")
@@ -179,12 +174,14 @@ def _cap(args) -> int:
     return cap
 
 
-def _gate_list(c: Circuit) -> list[tuple[float, PauliOperator]]:
+def _gate_list(c: Circuit) -> list[MemberGate]:
+    if c.d != 2:
+        raise ValueError(f"paulisim needs qubits (d = 2), got d = {c.d}")
     gates = []
     for i, g in enumerate(c.gates):
         if not isinstance(g, PauliExpGate):
             raise ValueError(f"gate {i + 1} is not a Pauli exponential")
-        gates.append((g.theta, g.pauli))
+        gates.append(MemberGate(g.theta, g.pauli))
     return gates
 
 
@@ -206,7 +203,10 @@ def _load_extras(path: str, n: int) -> list[tuple[int, ExtraGate]]:
         if slot < 0:
             raise ParseError(no, f"slot {slot} is negative")
         theta = parse_angle(toks[1], no)
-        out.append((slot, ExtraGate(theta, parse_pauli(toks[2], n, line_no=no))))
+        try:
+            out.append((slot, ExtraGate(theta, parse_pauli(toks[2], n, line_no=no))))
+        except NotHermitian as exc:
+            raise ParseError(no, str(exc)) from None
     return out
 
 
@@ -251,20 +251,17 @@ def _cmd_paulisim(args) -> int:
     qubit = args.qubit - 1
     if not 0 <= qubit < c.n:
         raise ValueError(f"qubit {args.qubit} outside the register")
-    if args.extras:
-        extras = sorted(_load_extras(args.extras, c.n), key=lambda e: e[0])
-        program: list[MemberGate | ExtraGate] = []
-        pos = 0
-        for j in range(len(gates) + 1):
-            while pos < len(extras) and extras[pos][0] <= j:
-                program.append(extras[pos][1])
-                pos += 1
-            if j < len(gates):
-                program.append(MemberGate(*gates[j]))
-        program.extend(e for _, e in extras[pos:])  # slots past the end go last
-        res = simulate_noncommuting_pauli(program, x, qubit, args.cfg, rng, n=c.n)
-    else:
-        res = simulate_commuting_pauli(gates, x, qubit, args.cfg, rng, n=c.n)
+    extras = sorted(_load_extras(args.extras, c.n) if args.extras else [], key=lambda e: e[0])
+    program: list[MemberGate | ExtraGate] = []
+    pos = 0
+    for j in range(len(gates) + 1):
+        while pos < len(extras) and extras[pos][0] <= j:
+            program.append(extras[pos][1])
+            pos += 1
+        if j < len(gates):
+            program.append(gates[j])
+    program.extend(e for _, e in extras[pos:])  # slots past the end go last
+    res = simulate_noncommuting_pauli(program, x, qubit, args.cfg, rng, n=c.n)
     return _emit_estimate(res, seed)
 
 

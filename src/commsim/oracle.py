@@ -358,10 +358,9 @@ def _last_weight(
     """
     if 0 not in sup:
         return _zero_weight(axes, s, d)
-    if sup[0] == 0:
-        half = m[: m.shape[0] // d]
-        return _checked_weight(_gate_product(axes, s.tensor(), half, sup, d)[0])
-    return _zero_weight(*_step(axes, s, m, sup, d), d)
+    # supports are sorted and non-negative, so qudit 0 leads the gate's axes
+    half = m[: m.shape[0] // d]
+    return _checked_weight(_gate_product(axes, s.tensor(), half, sup, d)[0])
 
 
 def _zero_weight(axes: tuple[int, ...], s: StateVector, d: int) -> float:

@@ -24,17 +24,11 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CapacityExceeded,
-    DimensionMismatch,
-    NotHermitian,
-    SizeMismatch,
-    TooManyExtras,
-)
+from .circuit import PauliExpGate
+from .errors import CapacityExceeded, DimensionMismatch, SizeMismatch, TooManyExtras
 from .estimator import (
     Composition,
     DiagonalZExp,
@@ -58,20 +52,12 @@ K_MAX = 10
 MAX_QUBITS = 64
 
 
-@dataclass(frozen=True)
-class MemberGate:
+class MemberGate(PauliExpGate):
     """``e^{i theta P}`` belonging to the commuting family."""
 
-    theta: float
-    pauli: PauliOperator
 
-
-@dataclass(frozen=True)
-class ExtraGate:
+class ExtraGate(PauliExpGate):
     """``e^{i theta Q}`` outside the commuting family."""
-
-    theta: float
-    pauli: PauliOperator
 
 
 def compile_commuting_pauli(
@@ -128,11 +114,15 @@ def simulate_noncommuting_pauli(
     shares add up to one mean.  K = ceil(4 W^4 ln(2/delta) / epsilon^2) with
     W = prod_j (|cos theta_j| + |sin theta_j|) over the k extras, or
     ``cfg.k_override`` when set; ``EstimateResult.k`` reports that total.
-    Registers wider than 64 qubits raise CapacityExceeded before any work.
+    Registers wider than 64 qubits raise CapacityExceeded before any work,
+    and an entry that is neither a member nor an extra raises TypeError.
     """
     t0 = time.perf_counter()
     if not program and n is None:
         raise ValueError("need n for an empty program")
+    for i, g in enumerate(program):
+        if not isinstance(g, (MemberGate, ExtraGate)):
+            raise TypeError(f"program entry {i} is neither a MemberGate nor an ExtraGate")
     members = [g for g in program if isinstance(g, MemberGate)]
     extras = [g for g in program if isinstance(g, ExtraGate)]
     n = program[0].pauli.n if n is None else n
@@ -148,9 +138,6 @@ def simulate_noncommuting_pauli(
     k = len(extras)
     if k > K_MAX:
         raise TooManyExtras(f"{k} extra gates exceed the cap of {K_MAX}")
-    for g in extras:
-        if not g.pauli.is_hermitian():
-            raise NotHermitian("extra gate exponentiates a non-Hermitian Pauli")
     c, diag, obs_map = compile_commuting_pauli(
         [(g.theta, g.pauli) for g in members], n
     )

@@ -29,6 +29,7 @@ from .circuit import (
     check_pairwise_commuting,
     embed_matrix,
     gate_matrix,
+    union_matrices,
 )
 from .errors import CapacityExceeded, LightconeTooLarge, SizeMismatch
 from .estimator import EstimateResult, EstimatorConfig, hoeffding_count
@@ -125,10 +126,8 @@ def alternate_hadamard_test(c: Circuit, part: str = "real") -> Circuit:
     for i in range(m):
         ga = gates[i]  # 1-branch, first half in order
         gb = gates[2 * m - 1 - i]  # 0-branch, second half reversed, adjointed
-        rest = tuple(sorted(set(ga.support) | set(gb.support)))
-        m0 = embed_matrix(gate_matrix(gb, 2), gb.support, rest, 2).conj().T
-        m1 = embed_matrix(gate_matrix(ga, 2), ga.support, rest, 2)
-        out.append(DenseGate((0, *(q + 1 for q in rest)), _two_branch_block(m0, m1)))
+        mb, ma, rest = union_matrices(gb, ga, 2)
+        out.append(DenseGate((0, *(q + 1 for q in rest)), _two_branch_block(mb.conj().T, ma)))
     out.append(
         NamedGate("h", (0,)) if part == "real" else DenseGate((0,), _HSDG)
     )

@@ -97,14 +97,18 @@ class TestGateMatrices:
     @pytest.mark.parametrize(
         "gate",
         [
-            ControlledGate(0, NamedGate("cnot", (1, 0))),
-            ControlledGate(2, ControlledGate(0, NamedGate("x", (0,)))),
+            lambda: ControlledGate(0, NamedGate("cnot", (1, 0))),
+            lambda: ControlledGate(2, ControlledGate(0, NamedGate("x", (0,)))),
+            lambda: ControlledGate(0, NamedGate("x", (0,))),
+            lambda: ControlledGate(0, ControlledGate(1, NamedGate("x", (0,)))),
         ],
+        ids=["gate0", "gate1", "gate2", "gate3"],
     )
     def test_circuit_rejects_overlapping_control(self, gate):
-        # as the parser does, at construction rather than at the first run
+        # built inside the test: the gate refuses itself at construction,
+        # before any circuit or run sees it
         with pytest.raises(ValueError, match="^control qubit overlaps inner gate support$"):
-            Circuit(3, 2, [gate])
+            Circuit(3, 2, [gate()])
 
     @pytest.mark.parametrize(
         "name,qubits,match",

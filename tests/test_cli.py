@@ -230,6 +230,12 @@ class TestErrorsAndDeterminism:
         code, out, err = run_cli(capsys, "depth-overlap", path, "--seed", "1")
         assert code == 1 and not out and "defined for qubits" in err
 
+    def test_paulisim_needs_qubits(self, qc, capsys):
+        # a gate-free qutrit register used to print a qubit estimate
+        path = qc("c.qc", "circuit 2 dim 3\n")
+        code, out, err = run_cli(capsys, "paulisim", path, "--qubit", "1", "--seed", "1")
+        assert code == 1 and not out and "d = 2" in err and "seed:" not in err
+
     def test_depth_overlap_qubit_limit(self, qc, capsys):
         path = qc("u.qc", "circuit 70\nh 1\n")
         code, out, err = run_cli(capsys, "depth-overlap", path, "--seed", "1")
@@ -266,6 +272,12 @@ class TestErrorsAndDeterminism:
         code, out, err = run_cli(capsys, "oracle", cpath, "--obs", spec)
         assert code == 1 and not out
         assert f"observable {spec!r}" in err and "invalid literal" not in err
+
+    def test_obs_non_ascii_digit_named(self, qc, capsys):
+        # int() refused the superscript after isdigit() let it through
+        cpath = qc("c.qc", "circuit 2\nh 1\n")
+        code, out, err = run_cli(capsys, "oracle", cpath, "--obs", "Z\u00b2")
+        assert code == 1 and not out and "'\u00b2'" in err and "invalid literal" not in err
 
     def test_obs_matrix_shape_mismatch(self, qc, capsys):
         cpath = qc("c.qc", "circuit 2\nh 1\n")
@@ -405,6 +417,14 @@ class TestErrorsAndDeterminism:
             capsys, "paulisim", path, "--qubit", "1", "--seed", "1", "--extras", extras
         )
         assert code == 1 and not out and "line 2: bad angle 'x'" in err
+
+    def test_non_hermitian_extra_names_its_line(self, qc, capsys):
+        path = qc("c.qc", BELLISH)
+        extras = qc("e.txt", "1 0.3 XI\n0 0.3 iXI\n")
+        code, out, err = run_cli(
+            capsys, "paulisim", path, "--qubit", "1", "--seed", "1", "--extras", extras
+        )
+        assert code == 1 and not out and "line 2: exponentiated Pauli must be Hermitian" in err
 
     def test_negative_extras_slot_rejected(self, qc, capsys):
         # slot -2 used to be read as slot 0

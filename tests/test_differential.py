@@ -5,16 +5,32 @@ significant, and every entry point reads an int, a numpy int, a digit string
 and a digit list of one basis state as that same state.
 """
 
+from functools import reduce
+
 import numpy as np
 import pytest
-from conftest import oracle_index, state_from_packed_amplitudes
+from conftest import (
+    oracle_index,
+    random_hermitian,
+    random_state_vector,
+    random_unitary,
+    state_from_packed_amplitudes,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from commsim.circuit import NAMED_ARITY, Circuit, PauliExpGate
+from commsim.circuit import NAMED_ARITY, Circuit, DenseGate, PauliExpGate
 from commsim.estimator import EstimatorConfig
-from commsim.local2 import ProductState
-from commsim.oracle import basis_state, circuit_unitary, run_circuit
+from commsim.local2 import ProductState, simulate_2local
+from commsim.oracle import (
+    Observable,
+    apply_circuit,
+    basis_state,
+    circuit_unitary,
+    expectation,
+    product_state,
+    run_circuit,
+)
 from commsim.pauli import PauliOperator
 from commsim.paulisim import (
     compile_commuting_pauli,
@@ -128,3 +144,39 @@ def test_compiled_factors_rebuild_the_circuit(program):
     uc = circuit_unitary(c.to_circuit())
     want = circuit_unitary(Circuit(n, 2, [PauliExpGate(theta, p) for theta, p in prog]))
     assert np.allclose(uc @ np.diag(flat) @ uc.conj().T, want, atol=1e-9)
+
+
+@st.composite
+def _two_local_case(draw):
+    """(n, d, gate supports, observable block, numpy seed) with n <= 5."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 5))
+    qudit = st.integers(0, n - 1)
+    sups = draw(st.lists(st.lists(qudit, min_size=1, max_size=2, unique=True), max_size=2 * n))
+    block = draw(st.lists(qudit, min_size=1, max_size=3, unique=True))
+    return n, d, [tuple(s) for s in sups], tuple(sorted(block)), draw(st.integers(0, 2**32 - 1))
+
+
+@given(_two_local_case())
+@example((4, 3, [(0, 1), (3, 2), (3,), (1,), (2, 1)], (0,), 7))  # only (0, 1) meets the block
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_2local_contraction_matches_oracle(case):
+    """``simulate_2local`` gives the statevector expectation on random commuting circuits.
+
+    Every gate is V^(x)k diag(e^{i phi}) V^dag(x)k for one V shared by every
+    qudit, so all gates commute at any d.
+    """
+    n, d, sups, block, seed = case
+    rng = np.random.default_rng(seed)
+    v = random_unitary(d, rng)
+    gates = []
+    for sup in sups:
+        vk = reduce(np.kron, [v] * len(sup))
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, d ** len(sup)))
+        gates.append(DenseGate(sup, vk @ np.diag(phases) @ vk.conj().T))
+    c = Circuit(n, d, gates)
+    factors = [random_state_vector(d, rng) for _ in range(n)]
+    obs = Observable(block, random_hermitian(d ** len(block), rng))
+    got = simulate_2local(c, ProductState(factors, d), obs)
+    want = expectation(apply_circuit(product_state(factors, d), c), obs)
+    assert got == pytest.approx(want, abs=1e-9)

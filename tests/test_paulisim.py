@@ -334,6 +334,23 @@ class TestNonCommutingSimulation:
                 rng,
             )
 
+    @pytest.mark.parametrize("gate_type", [PauliExpGate, MemberGate, ExtraGate])
+    def test_gate_checks_its_own_hermiticity(self, gate_type):
+        with pytest.raises(NotHermitian, match="^exponentiated Pauli must be Hermitian$"):
+            gate_type(0.3, parse_pauli("iZ", 1))
+        assert isinstance(gate_type(0.3, parse_pauli("Z")), PauliExpGate)
+
+    def test_roles_are_distinct_gates(self):
+        z = parse_pauli("Z")
+        assert MemberGate(0.3, z) == MemberGate(0.3, z)
+        assert MemberGate(0.3, z) != ExtraGate(0.3, z) != PauliExpGate(0.3, z)
+
+    def test_program_entry_needs_a_role(self, rng):
+        # a plain gate has no role; it was dropped, reading 1.0 for cos 0.6
+        program = [MemberGate(0.1, parse_pauli("Z")), PauliExpGate(0.3, parse_pauli("X"))]
+        with pytest.raises(TypeError, match="^program entry 1 is neither"):
+            simulate_noncommuting_pauli(program, 0, 0, EstimatorConfig(k_override=5), rng)
+
 
 def _random_program(n, k, rng):
     program = [
