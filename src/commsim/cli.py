@@ -139,13 +139,19 @@ def _parse_obs(spec: str, n: int, d: int) -> Observable:
         return Observable(support, m)
     if d != 2:
         raise ValueError("named Pauli observables need d = 2; use a matrix file")
-    if spec[:1].upper() in _PAULI_LETTERS and spec[1:].isdecimal():
+    if spec[:1].upper() in _PAULI_LETTERS and spec[1:2].isdecimal():
+        bad = next((ch for ch in spec[1:] if not ch.isdecimal()), None)
+        if bad is not None:
+            raise ValueError(f"observable {spec!r}: invalid character {bad!r} in the qubit number")
         q = int(spec[1:]) - 1
         if not 0 <= q < n:
             raise ValueError(f"observable qubit {q + 1} outside the register")
         p = PauliOperator.single(1, spec[0].upper(), 0)
         return Observable((q,), p.to_matrix())
-    p = parse_pauli(spec, n)
+    try:
+        p = parse_pauli(spec, n)
+    except ParseError as exc:  # the spec is an argument, not a file line
+        raise ValueError(f"observable {spec!r}: {exc.message}") from None
     bits = p.a | p.b
     support = tuple(k for k in range(n) if (bits >> k) & 1)
     if not support:

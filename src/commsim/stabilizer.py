@@ -21,7 +21,10 @@ coordinates into y0, and an amplitude gathers the mover coordinates x of
 and reads the phase as a linear plus quadratic form in x (the affine form
 of Dehaene and De Moor, quant-ph/0304125).  A state asked for at least
 2^n amplitudes at once runs that kernel on every basis state and keeps the
-dense table.  :func:`evolve` moves the anchor through monomial gates and
+dense table.  The sample stream is that of ``rng.integers(0, 2)``: with s
+movers, mover bit j of sample i is the top bit of the generator's 32-bit
+draw i*s + j, read from raw 64-bit words where the bit generator has them.
+:func:`evolve` moves the anchor through monomial gates and
 conjugates the generators only at each ``h``, where one affine form gives
 both the new anchor and the new state's form.
 :meth:`StabilizerState.apply_pauli` needs no elimination: a Pauli image
@@ -319,6 +322,31 @@ def _word_bytes(words: np.ndarray) -> np.ndarray:
     return np.asarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8)
 
 
+def _fair_bits(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The next ``count`` draws of ``rng.integers(0, 2)``, as 0/1 bytes.
+
+    numpy takes each such draw as the top bit of the generator's next 32-bit
+    value.  A 64-bit bit generator (PCG64, PCG64DXSM, SFC64, Philox) makes
+    two of those from each raw word, low half first, and keeps an unused
+    high half in its ``has_uint32`` buffer.  So the bits are read from
+    ``random_raw``, between one ``rng.integers`` draw that uses up a
+    buffered half and one that takes the last one or two bits, which leaves
+    the buffer as numpy's own fill does.  A generator without that buffer
+    (MT19937) draws through ``rng.integers``.
+    """
+    state = rng.bit_generator.state
+    if "has_uint32" not in state:
+        return rng.integers(0, 2, size=count, dtype=np.uint64)
+    bits = np.empty(count, dtype=np.uint8)
+    head = min(state["has_uint32"], count)
+    mid = head + 2 * (max(0, count - head - 1) // 2)
+    bits[:head] = rng.integers(0, 2, size=head, dtype=np.uint64)
+    raw = rng.bit_generator.random_raw((mid - head) // 2).astype("<u8", copy=False)
+    np.right_shift(raw.view("<u4"), 31, out=bits[head:mid], casting="unsafe")
+    bits[mid:] = rng.integers(0, 2, size=count - mid, dtype=np.uint64)
+    return bits
+
+
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
     """Bytes of each row's bit vector, bit j = ``bits[i, j]`` in {0, 1}.
 
@@ -537,7 +565,13 @@ class StabilizerState:
         return aff.tables
 
     def sample_many(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        """k uniform support samples as a uint64 array (requires n <= 64)."""
+        """k uniform support samples as a uint64 array (requires n <= 64).
+
+        Mover bit j of sample i is the top bit of 32-bit draw i*s + j of
+        ``rng``, the stream of ``rng.integers(0, 2, size=(k, s))``, so
+        successive calls continue one stream; without movers, or at k = 0,
+        nothing is drawn.
+        """
         tab = self._tables()
         aff = self.affine_form()
         ys = np.full(k, np.uint64(aff.y0), dtype=np.uint64)
@@ -546,7 +580,7 @@ class StabilizerState:
             step = _SAMPLE_BITS // aff.s
             for lo in range(0, k, step):
                 part = ys[lo : lo + step]
-                bits = rng.integers(0, 2, size=(len(part), aff.s), dtype=np.uint64)
+                bits = _fair_bits(rng, len(part) * aff.s).reshape(len(part), aff.s)
                 part ^= _xor_lookup(tab.span, _pack_rows(bits))
         return ys
 

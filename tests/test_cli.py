@@ -279,6 +279,14 @@ class TestErrorsAndDeterminism:
         code, out, err = run_cli(capsys, "oracle", cpath, "--obs", "Z\u00b2")
         assert code == 1 and not out and "'\u00b2'" in err and "invalid literal" not in err
 
+    @pytest.mark.parametrize("spec, bad", [("ZQ", "Q"), ("XQZ", "Q"), ("Z1\u00b2", "\u00b2")])
+    def test_obs_bad_character_names_the_spec(self, qc, capsys, spec, bad):
+        # these used to blame "line 1", which no file has, and Z1² blamed '1'
+        cpath = qc("c.qc", "circuit 2\nh 1\n")
+        code, out, err = run_cli(capsys, "oracle", cpath, "--obs", spec)
+        assert code == 1 and not out
+        assert f"observable {spec!r}" in err and f"{bad!r}" in err and "line" not in err
+
     def test_obs_matrix_shape_mismatch(self, qc, capsys):
         cpath = qc("c.qc", "circuit 2\nh 1\n")
         opath = qc("m.mat", "1 0 0 0 0 0\n0 0 1 0 0 0\n0 0 0 0 1 0\n")

@@ -26,7 +26,7 @@ from commsim.paulisim import (
     simulate_noncommuting_pauli,
 )
 from commsim.pauli import PauliOperator, multiply, parse_pauli
-from commsim.stabilizer import evolve
+from commsim.stabilizer import StabilizerState, evolve
 
 Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -54,6 +54,24 @@ _PINNED_PROGRAMS = {
         MemberGate(-1.2, parse_pauli("-YII")),
         ExtraGate(-0.3, parse_pauli("IZY")),
         MemberGate(0.25, parse_pauli("+YZZ")),
+    ],
+    # 13 members scrambled by a 600-gate Clifford: every branch state has
+    # 13 movers, so each sample word spans two bytes
+    "n20": [
+        MemberGate(0.1, parse_pauli("-IXYXYIYXZYYZXZYZYIYI")),
+        MemberGate(-0.2, parse_pauli("+YIZYIIYYXYIZYXIYZZYI")),
+        MemberGate(0.3, parse_pauli("-IYYZZIYIZIXZZYYXIXZI")),
+        MemberGate(-0.4, parse_pauli("-IIXIXIXYYIZIZYZYXXXX")),
+        MemberGate(0.5, parse_pauli("+XYIIIZXIXXZYXZZXXYZX")),
+        ExtraGate(0.35, parse_pauli("+IXIIZIIIYIIIIXIIIZII")),
+        MemberGate(-0.6, parse_pauli("-XIZXXIIXIZIXXYYYZZXX")),
+        MemberGate(0.7, parse_pauli("-XYZIXIIIZXYXZZIIZYZY")),
+        MemberGate(-0.8, parse_pauli("+XYXYZZIXIIIYIXZIIXXY")),
+        MemberGate(0.9, parse_pauli("-YXYZIXZIXYZYYXZIZYXY")),
+        MemberGate(-1.0, parse_pauli("+XXIZZIXZYIXXZZYYZZYI")),
+        MemberGate(1.1, parse_pauli("+YZYXXXIZYZIZIXXZIYZZ")),
+        MemberGate(-1.2, parse_pauli("-YIIXIYZZXIXXZXYZZZYI")),
+        MemberGate(1.3, parse_pauli("+YIYZYYIZIYZIIZXXXIII")),
     ],
 }
 
@@ -321,6 +339,26 @@ class TestNonCommutingSimulation:
         res = simulate_noncommuting_pauli(program, x, qubit, cfg, np.random.default_rng(seed))
         assert float.hex(res.raw_value) == pinned
         assert min(ks) < 1 << n <= max(ks)
+
+    def test_multibyte_sample_words_pinned_bit_for_bit(self, monkeypatch):
+        # the pinned cases above sample at most 8 movers, one byte a word;
+        # here every pair samples 13, and three of the four pair shares are
+        # odd, so the draws of successive pairs meet inside a 64-bit word
+        movers, ks = [], []
+        sample_many = StabilizerState.sample_many
+
+        def recorded(st, k, rng):
+            movers.append(st.affine_form().s)
+            ks.append(k)
+            return sample_many(st, k, rng)
+
+        monkeypatch.setattr(StabilizerState, "sample_many", recorded)
+        cfg = EstimatorConfig(k_override=3001)
+        res = simulate_noncommuting_pauli(
+            _PINNED_PROGRAMS["n20"], "01101001110010100111", 7, cfg, np.random.default_rng(31)
+        )
+        assert float.hex(res.raw_value) == "-0x1.8839e4c3b8e8ap-7"
+        assert movers == [13] * 4 and sum(k % 2 for k in ks) == 3
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):

@@ -75,6 +75,13 @@ def _sample_many_per_mover(st, k, rng):
     return ys
 
 
+def _same_state(a, b) -> bool:
+    """Equal ``bit_generator.state`` dicts; some values are arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
+
+
 def _state_vector(s: StabilizerState) -> np.ndarray:
     return state_from_packed_amplitudes(s.amplitude_raw, s.n)
 
@@ -425,6 +432,37 @@ class TestEvolve:
                 got = st.sample_many(k, np.random.default_rng(seed))
                 want = _sample_many_per_mover(st, k, np.random.default_rng(seed))
                 assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.Philox, np.random.MT19937],
+    )
+    def test_sample_many_stream_concatenates(self, bit_generator, rng):
+        # k·s = 63, 9000, 72009 and 9: an odd count leaves half a 64-bit word
+        # buffered, and the next call, a draw between calls or the next row
+        # chunk (7281 rows at s = 9) starts from that half
+        st = _evolved_with_support(17, 9, rng)
+        seed = int(rng.integers(1 << 32))
+        got_rng = np.random.Generator(bit_generator(seed))
+        want_rng = np.random.Generator(bit_generator(seed))
+        for k in (7, 1000, 8001, 1):
+            got = st.sample_many(k, got_rng)
+            want = _sample_many_per_mover(st, k, want_rng)
+            assert np.array_equal(got, want)
+            assert _same_state(got_rng.bit_generator.state, want_rng.bit_generator.state)
+            assert got_rng.integers(0, 2) == want_rng.integers(0, 2)
+
+    def test_sample_many_without_draws_leaves_generator(self, rng):
+        moving = _evolved_with_support(8, 3, rng)
+        fixed = _evolved_with_support(8, 0, rng)
+        gen = np.random.default_rng(int(rng.integers(1 << 32)))
+        gen.integers(0, 2)  # leaves half a word buffered
+        before = gen.bit_generator.state
+        assert before["has_uint32"]
+        assert moving.sample_many(0, gen).shape == (0,)
+        ys = fixed.sample_many(5, gen)
+        assert ys.tolist() == [fixed.affine_form().y0] * 5
+        assert _same_state(gen.bit_generator.state, before)
 
     def test_sample_many_distribution(self, rng):
         # |+>^2: all four outcomes occur with similar frequency
