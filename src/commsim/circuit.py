@@ -185,10 +185,10 @@ def gate_matrix(g: Gate, d: int) -> np.ndarray:
     if isinstance(g, DenseGate):
         return g.matrix
     if isinstance(g, PauliExpGate):
-        sub = _restrict_pauli(g.pauli)
-        p = sub.to_matrix()
-        dim = p.shape[0]
-        return math.cos(g.theta) * np.eye(dim) + 1j * math.sin(g.theta) * p
+        # cos(theta) I + i sin(theta) P: the scaled Pauli, then the diagonal
+        m = _restrict_pauli(g.pauli).to_matrix(1j * math.sin(g.theta))
+        m.flat[:: len(m) + 1] += math.cos(g.theta)
+        return m
     if isinstance(g, ControlledGate):
         inner = gate_matrix(g.inner, d)
         block = _two_branch_block(np.eye(inner.shape[0]), inner)

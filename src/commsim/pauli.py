@@ -80,11 +80,11 @@ class PauliOperator:
 
     # -- dense export (test support, n small) -------------------------
 
-    def to_matrix(self) -> np.ndarray:
-        """Dense matrix; qubit 0 is the leftmost (most significant) tensor factor.
+    def to_matrix(self, scale: complex = 1) -> np.ndarray:
+        """Dense matrix of ``scale * P``; qubit 0 is the leftmost (most significant) factor.
 
         Qubit k is bit n - 1 - k of an index, so with a and b read in that
-        order column y holds ``i^(t + 2 parity(b & y))`` in row ``y ^ a``.
+        order column y holds ``scale * i^(t + 2 parity(b & y))`` in row ``y ^ a``.
         """
         def index_bits(v: int) -> int:
             return int(format(v, f"0{self.n}b")[::-1], 2)
@@ -92,7 +92,7 @@ class PauliOperator:
         ys = np.arange(1 << self.n)
         k = (self.t + 2 * (np.bitwise_count(ys & index_bits(self.b)) & 1)) & 3
         out = np.zeros((len(ys), len(ys)), dtype=complex)
-        out[ys ^ index_bits(self.a), ys] = np.array(_I4).take(k)
+        out[ys ^ index_bits(self.a), ys] = (scale * np.array(_I4)).take(k)
         return out
 
     def __str__(self) -> str:

@@ -15,15 +15,15 @@ is derived lazily.  That form yields exact amplitudes, Born sampling, and the
 amplitude convention used across the package: the lexicographically least
 support element has a real positive coefficient.  The vectorized sampler and
 amplitude kernel (n <= 64) read the form through 256-entry byte tables built
-once per form: a sample XORs one table entry per byte of its random mover
-coordinates into y0, and an amplitude gathers the mover coordinates x of
+once per form: a sample XORs one table entry per byte of its random word
+into y0, and an amplitude gathers the mover coordinates x of
 ``y ^ anchor`` byte by byte, checks membership as ``span(x) == y ^ anchor``
 and reads the phase as a linear plus quadratic form in x (the affine form
 of Dehaene and De Moor, quant-ph/0304125).  A state asked for at least
 2^n amplitudes at once runs that kernel on every basis state and keeps the
-dense table.  The sample stream is that of ``rng.integers(0, 2)``: with s
-movers, mover bit j of sample i is the top bit of the generator's 32-bit
-draw i*s + j, read from raw 64-bit words where the bit generator has them.
+dense table.  Sample i takes word i of the generator's full-range uint64
+stream, r, and is y0 XOR the X parts a_j of the movers whose pivot bit is
+set in r; successive calls continue that stream.
 :func:`evolve` moves the anchor through monomial gates and
 conjugates the generators only at each ``h``, where one affine form gives
 both the new anchor and the new state's form.
@@ -62,10 +62,6 @@ from .errors import (
 )
 from .oracle import parse_basis_label
 from .pauli import _I4, PauliOperator, commutes, multiply
-
-# random bits per draw in StabilizerState.sample_many
-_SAMPLE_BITS = 1 << 16
-
 
 @dataclass(frozen=True)
 class CliffordCircuit:
@@ -322,46 +318,6 @@ def _word_bytes(words: np.ndarray) -> np.ndarray:
     return np.asarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8)
 
 
-def _fair_bits(rng: np.random.Generator, count: int) -> np.ndarray:
-    """The next ``count`` draws of ``rng.integers(0, 2)``, as 0/1 bytes.
-
-    numpy takes each such draw as the top bit of the generator's next 32-bit
-    value.  A 64-bit bit generator (PCG64, PCG64DXSM, SFC64, Philox) makes
-    two of those from each raw word, low half first, and keeps an unused
-    high half in its ``has_uint32`` buffer.  So the bits are read from
-    ``random_raw``, between one ``rng.integers`` draw that uses up a
-    buffered half and one that takes the last one or two bits, which leaves
-    the buffer as numpy's own fill does.  A generator without that buffer
-    (MT19937) draws through ``rng.integers``.
-    """
-    state = rng.bit_generator.state
-    if "has_uint32" not in state:
-        return rng.integers(0, 2, size=count, dtype=np.uint64)
-    bits = np.empty(count, dtype=np.uint8)
-    head = min(state["has_uint32"], count)
-    mid = head + 2 * (max(0, count - head - 1) // 2)
-    bits[:head] = rng.integers(0, 2, size=head, dtype=np.uint64)
-    raw = rng.bit_generator.random_raw((mid - head) // 2).astype("<u8", copy=False)
-    np.right_shift(raw.view("<u4"), 31, out=bits[head:mid], casting="unsafe")
-    bits[mid:] = rng.integers(0, 2, size=count - mid, dtype=np.uint64)
-    return bits
-
-
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Bytes of each row's bit vector, bit j = ``bits[i, j]`` in {0, 1}.
-
-    Eight 0/1 bytes read as one little-endian word w pack into the top byte
-    of ``w * 0x0102040810204080``: byte p lands on bit 56 + p, and no other
-    partial product reaches the top byte or carries into it.
-    """
-    rows, s = bits.shape
-    lo = np.zeros((rows, 8 * -(-s // 8)), dtype=np.uint8)
-    lo[:, :s] = bits
-    return ((lo.view("<u8") * np.uint64(0x0102040810204080)) >> np.uint64(56)).astype(
-        np.uint8
-    )
-
-
 def _xor_lookup(tab: np.ndarray, by: np.ndarray) -> np.ndarray:
     """XOR over the rows u of ``tab`` of ``tab[u, by[:, u]]``."""
     out = tab[0].take(by[:, 0])
@@ -389,6 +345,7 @@ class _ByteTables:
     depends on the anchor; it is computed per call, not tabulated.
     """
 
+    draw: np.ndarray  # byte of a random word -> XOR of the a_j pivoted in it
     gather: np.ndarray  # byte of v -> its pivot bits, as bits of x
     span: np.ndarray  # byte of x -> XOR of its movers' X parts
     rows: np.ndarray  # byte of x -> XOR of its movers' R_i
@@ -398,14 +355,15 @@ class _ByteTables:
 
     @classmethod
     def build(cls, n: int, movers: list[tuple[PauliOperator, int]]) -> "_ByteTables":
-        coord = [0] * n
-        for j, (_, piv) in enumerate(movers):
-            coord[piv] = 1 << j
+        coord, pivoted = [0] * n, [0] * n
+        for j, (g, piv) in enumerate(movers):
+            coord[piv], pivoted[piv] = 1 << j, g.a
         rows = [
             sum(((g.b & h.a).bit_count() & 1) << j for j, (h, _) in enumerate(movers) if j > i)
             for i, (g, _) in enumerate(movers)
         ]
         return cls(
+            draw=_byte_table(pivoted),
             gather=_byte_table(coord),
             span=_byte_table([g.a for g, _ in movers]),
             rows=_byte_table(rows),
@@ -567,22 +525,16 @@ class StabilizerState:
     def sample_many(self, k: int, rng: np.random.Generator) -> np.ndarray:
         """k uniform support samples as a uint64 array (requires n <= 64).
 
-        Mover bit j of sample i is the top bit of 32-bit draw i*s + j of
-        ``rng``, the stream of ``rng.integers(0, 2, size=(k, s))``, so
-        successive calls continue one stream; without movers, or at k = 0,
-        nothing is drawn.
+        Sample i takes the next word r of ``rng.integers(0, 2**64 - 1,
+        endpoint=True, dtype=np.uint64)`` and is y0 XOR the X parts a_j of
+        the movers whose pivot bit is set in r.  Each sample takes one word,
+        with or without movers, so successive calls continue one stream.
         """
+        if not isinstance(k, (int, np.integer)) or k < 0:
+            raise ValueError(f"sample count must be a non-negative int, got {k!r}")
         tab = self._tables()
-        aff = self.affine_form()
-        ys = np.full(k, np.uint64(aff.y0), dtype=np.uint64)
-        if aff.movers:
-            # row chunks draw the same generator stream as one (k, s) draw
-            step = _SAMPLE_BITS // aff.s
-            for lo in range(0, k, step):
-                part = ys[lo : lo + step]
-                bits = _fair_bits(rng, len(part) * aff.s).reshape(len(part), aff.s)
-                part ^= _xor_lookup(tab.span, _pack_rows(bits))
-        return ys
+        r = rng.integers(0, 2**64 - 1, size=k, endpoint=True, dtype=np.uint64)
+        return np.uint64(self.affine_form().y0) ^ _xor_lookup(tab.draw, _word_bytes(r))
 
     def amplitudes_raw_many(self, ys: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`amplitude_raw` for a 1-D uint64 array (n <= 64).

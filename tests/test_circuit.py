@@ -21,6 +21,7 @@ from commsim.circuit import (
     DenseGate,
     NamedGate,
     PauliExpGate,
+    _restrict_pauli,
     check_pairwise_commuting,
     embed_matrix,
     gate_matrix,
@@ -57,6 +58,22 @@ class TestGateMatrices:
         p = np.kron([[0, 1], [1, 0]], [[1, 0], [0, -1]]).astype(complex)
         want = math.cos(theta) * np.eye(4) + 1j * math.sin(theta) * p
         assert np.allclose(gate_matrix(g, 2), want)
+
+    def test_pauli_exp_matches_cos_plus_i_sin_pauli(self, rng):
+        # one scatter of i sin(theta) P plus cos(theta) on the diagonal,
+        # equal to the textbook sum up to signed zeros
+        (empty,) = parse_circuit("circuit 2\nexppauli 0.4 II\n").gates
+        gates = [empty, PauliExpGate(-2.1, parse_pauli("-II"))]
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            a, b = (int(v) for v in rng.integers(0, 1 << n, size=2))
+            t = ((a & b).bit_count() & 1) + 2 * int(rng.integers(2))
+            gates.append(PauliExpGate(float(rng.uniform(-7, 7)), PauliOperator(n, t, a, b)))
+        for g in gates:
+            p = _restrict_pauli(g.pauli).to_matrix()
+            want = math.cos(g.theta) * np.eye(len(p)) + 1j * math.sin(g.theta) * p
+            assert np.array_equal(gate_matrix(g, 2), want)
+        assert gate_matrix(empty, 2).shape == (1, 1)
 
     def test_pauli_exp_ignores_identity_columns(self):
         g = PauliExpGate(0.5, parse_pauli("IXI"))

@@ -56,7 +56,7 @@ _PINNED_PROGRAMS = {
         MemberGate(0.25, parse_pauli("+YZZ")),
     ],
     # 13 members scrambled by a 600-gate Clifford: every branch state has
-    # 13 movers, so each sample word spans two bytes
+    # 13 movers, whose pivots span three bytes of a sample's word
     "n20": [
         MemberGate(0.1, parse_pauli("-IXYXYIYXZYYZXZYZYIYI")),
         MemberGate(-0.2, parse_pauli("+YIZYIIYYXYIZYXIYZZYI")),
@@ -316,7 +316,7 @@ class TestNonCommutingSimulation:
         "name, x, qubit, cfg, seed, pinned",
         [
             ("n8", "01101001", 2, EstimatorConfig(epsilon=0.1, delta=0.05), 11,
-             "0x1.32a2646e3b094p-3"),
+             "0x1.2d0c645c1990bp-3"),
             ("n8", "11000101", 5, EstimatorConfig(k_override=3000), 12, "-0x1.ed3907eaa0052p-1"),
             ("n3", "011", 1, EstimatorConfig(k_override=60), 13, "-0x1.75c3fa5332707p-2"),
             ("n3", "100", 0, EstimatorConfig(k_override=200), 14, "0x1.65a59e2cdb301p-1"),
@@ -325,8 +325,9 @@ class TestNonCommutingSimulation:
     def test_outputs_pinned_bit_for_bit(self, monkeypatch, name, x, qubit, cfg, seed, pinned):
         # raw means recorded before the sample variable was tabulated on
         # small registers (the first case again after completion turned
-        # Z-type); each case has pairs with fewer samples than 2^n labels
-        # (read per sample) and pairs with at least 2^n (tabulated)
+        # Z-type, and when each sample began to take one word); each case
+        # has pairs with fewer samples than 2^n labels (read per sample)
+        # and pairs with at least 2^n (tabulated)
         ks = []
 
         def recorded(psi, m, phi, pair_cfg, rng):
@@ -341,9 +342,10 @@ class TestNonCommutingSimulation:
         assert min(ks) < 1 << n <= max(ks)
 
     def test_multibyte_sample_words_pinned_bit_for_bit(self, monkeypatch):
-        # the pinned cases above sample at most 8 movers, one byte a word;
-        # here every pair samples 13, and three of the four pair shares are
-        # odd, so the draws of successive pairs meet inside a 64-bit word
+        # the pinned cases above have n <= 8, so a sample reads one byte of
+        # its word; here every pair samples 13 movers, pivoted on qubits
+        # 0-11 and 16, so each sample reads three bytes, and three of the
+        # four pair shares are odd
         movers, ks = [], []
         sample_many = StabilizerState.sample_many
 
@@ -357,7 +359,7 @@ class TestNonCommutingSimulation:
         res = simulate_noncommuting_pauli(
             _PINNED_PROGRAMS["n20"], "01101001110010100111", 7, cfg, np.random.default_rng(31)
         )
-        assert float.hex(res.raw_value) == "-0x1.8839e4c3b8e8ap-7"
+        assert float.hex(res.raw_value) == "0x1.8f96b136d7b0ap-6"
         assert movers == [13] * 4 and sum(k % 2 for k in ks) == 3
 
     def test_validation(self, rng):

@@ -62,17 +62,23 @@ def _evolved_with_support(n, s, rng):
     return st
 
 
+def _words(rng, k):
+    """The next k words of the full-range uint64 stream that samples read."""
+    return rng.integers(0, 2**64 - 1, size=k, endpoint=True, dtype=np.uint64)
+
+
 def _sample_many_per_mover(st, k, rng):
-    """The per-mover sampling loop that the byte tables replaced, as the oracle."""
+    """The sampling rule as a per-sample, per-pivot loop over words: sample i
+    is y0 XOR the movers' X parts whose pivot bit is set in word i."""
     aff = st.affine_form()
-    ys = np.full(k, np.uint64(aff.y0), dtype=np.uint64)
-    if aff.movers:
-        for lo in range(0, k, 1024):
-            part = ys[lo : lo + 1024]
-            bits = rng.integers(0, 2, size=(len(part), len(aff.movers)), dtype=np.uint64)
-            for j, (g, _) in enumerate(aff.movers):
-                part ^= bits[:, j] * np.uint64(g.a)
-    return ys
+    ys = []
+    for r in _words(rng, k).tolist():
+        y = aff.y0
+        for g, piv in aff.movers:
+            if (r >> piv) & 1:
+                y ^= g.a
+        ys.append(y)
+    return np.array(ys, dtype=np.uint64)
 
 
 def _same_state(a, b) -> bool:
@@ -438,9 +444,8 @@ class TestEvolve:
         [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.Philox, np.random.MT19937],
     )
     def test_sample_many_stream_concatenates(self, bit_generator, rng):
-        # k·s = 63, 9000, 72009 and 9: an odd count leaves half a 64-bit word
-        # buffered, and the next call, a draw between calls or the next row
-        # chunk (7281 rows at s = 9) starts from that half
+        # each sample takes one word, so successive calls, and a draw
+        # between calls, continue one stream on every bit generator
         st = _evolved_with_support(17, 9, rng)
         seed = int(rng.integers(1 << 32))
         got_rng = np.random.Generator(bit_generator(seed))
@@ -452,16 +457,66 @@ class TestEvolve:
             assert _same_state(got_rng.bit_generator.state, want_rng.bit_generator.state)
             assert got_rng.integers(0, 2) == want_rng.integers(0, 2)
 
+    def test_sample_many_split_draws_equal_one_draw(self, rng):
+        for s in (0, 3, 12):
+            st = _evolved_with_support(12, s, rng)
+            seed = int(rng.integers(1 << 32))
+            k1, k2 = (int(v) for v in rng.integers(0, 2000, size=2))
+            gen = np.random.default_rng(seed)
+            split = np.concatenate([st.sample_many(k1, gen), st.sample_many(k2, gen)])
+            assert np.array_equal(split, st.sample_many(k1 + k2, np.random.default_rng(seed)))
+
+    def test_product_state_samples_mask_the_word(self, rng):
+        # H on the qubits P of |x>: the movers are the single-qubit X's on P,
+        # so sample i is y0 ^ (r_i & P) for word r_i of the stream
+        for n in (5, 40, 64):
+            x = int(rng.integers(0, (1 << n) - 1, endpoint=True, dtype=np.uint64))
+            qs = [int(q) for q in rng.choice(n, size=int(rng.integers(n + 1)), replace=False)]
+            st = evolve(x, CliffordCircuit(n, tuple(("h", (q,)) for q in qs)))
+            aff = st.affine_form()
+            assert sorted((g.a, piv) for g, piv in aff.movers) == sorted((1 << q, q) for q in qs)
+            mask = np.uint64(sum(1 << q for q in qs))
+            y0 = np.uint64(aff.y0)
+            assert y0 & mask == 0
+            seed = int(rng.integers(1 << 32))
+            got = st.sample_many(500, np.random.default_rng(seed))
+            assert np.array_equal(got, y0 ^ (_words(np.random.default_rng(seed), 500) & mask))
+
+    def test_sample_many_uniform_on_support(self):
+        # a fixed-seed chi-square test over a 16-element support at n = 6;
+        # 37.70 is the 0.001 upper quantile of chi-square with 15 degrees
+        st = _evolved_with_support(6, 4, np.random.default_rng(5))
+        k = 16000
+        ys = st.sample_many(k, np.random.default_rng(6))
+        counts = np.bincount(ys.astype(np.int64), minlength=64)
+        support = [y for y in range(64) if st.in_support(y)]
+        assert len(support) == 16 and counts[support].sum() == k
+        chi2 = float((((counts[support] - k / 16) ** 2) / (k / 16)).sum())
+        assert chi2 < 37.70
+
     def test_sample_many_without_draws_leaves_generator(self, rng):
         moving = _evolved_with_support(8, 3, rng)
-        fixed = _evolved_with_support(8, 0, rng)
         gen = np.random.default_rng(int(rng.integers(1 << 32)))
         gen.integers(0, 2)  # leaves half a word buffered
         before = gen.bit_generator.state
-        assert before["has_uint32"]
         assert moving.sample_many(0, gen).shape == (0,)
-        ys = fixed.sample_many(5, gen)
-        assert ys.tolist() == [fixed.affine_form().y0] * 5
+        assert _same_state(gen.bit_generator.state, before)
+
+    def test_sample_many_without_movers_takes_a_word_per_sample(self, rng):
+        fixed = _evolved_with_support(8, 0, rng)
+        seed = int(rng.integers(1 << 32))
+        gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert fixed.sample_many(5, gen).tolist() == [fixed.affine_form().y0] * 5
+        _words(twin, 5)
+        assert _same_state(gen.bit_generator.state, twin.bit_generator.state)
+
+    @pytest.mark.parametrize("k", [-2, 2.5])
+    def test_sample_many_refuses_bad_count(self, k, rng):
+        st = _evolved_with_support(8, 3, rng)
+        gen = np.random.default_rng(0)
+        before = gen.bit_generator.state
+        with pytest.raises(ValueError, match=f"^sample count must be .*, got {k}$"):
+            st.sample_many(k, gen)
         assert _same_state(gen.bit_generator.state, before)
 
     def test_sample_many_distribution(self, rng):
